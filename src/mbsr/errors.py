@@ -120,6 +120,10 @@ class NoInstancesError(MbsrError):
     pass
 
 
+class MetricHistoryError(MbsrError):
+    """Raised on a metric history row whose values do not parse."""
+
+
 # --- interchange ---
 
 class CorpusSyntaxError(MbsrError):

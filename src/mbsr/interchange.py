@@ -263,7 +263,7 @@ def _load_link(model: Model, block: Block) -> None:
             block.line) from None
     try:
         add_link(model, kind, block.fields["source"], block.fields["target"],
-                 link_id=block.ident)
+                 link_id=block.ident, touch=False)
     except MbsrError as exc:
         raise _wrap(block, exc) from exc
 
@@ -493,9 +493,13 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     for entry in root:
         if entry.tag != q + "Named_Element":
             continue
-        model.add_element(ModelElement(
-            entry.get("Id", ""), entry.get("Name", ""),
-            ElementKind(entry.get("Kind", "Other"))))
+        try:
+            kind = ElementKind(entry.get("Kind", "Other"))
+        except ValueError:
+            raise CorpusValidationError(
+                f"element {entry.get('Id')!r}: unknown element kind "
+                f"{entry.get('Kind')!r}") from None
+        model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
 
     def _read_attrs(entry) -> dict[str, AttributeValue]:
         out: dict[str, AttributeValue] = {}
@@ -513,7 +517,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
             elif attr_def.value_kind == ValueKind.ELEMENT_REF:
                 out[key] = AttributeValue.ref(raw)
             elif attr_def.value_kind == ValueKind.TIMESTAMP:
-                out[key] = AttributeValue.stamp(datetime.fromisoformat(raw))
+                try:
+                    out[key] = AttributeValue.stamp(datetime.fromisoformat(raw))
+                except ValueError:
+                    raise CorpusValidationError(
+                        f"{entry.get('Id')!r}: {name} is not an ISO-8601 "
+                        f"timestamp: {raw!r}") from None
             else:
                 out[key] = AttributeValue.text(raw)
         return out
@@ -703,6 +712,18 @@ def export_reqif(model: Model, scope_id: str | None = None,
 # --- requirement table CSV ---
 
 
+def _verdict_letter(model: Model, expr_id: str, node_id: str) -> str:
+    """S or V from the first Satisfy/Violate link (link-id order) from the
+    expression to the rule or characteristic node; M when there is none."""
+    for link in model.links_from(expr_id):
+        if link.target_id == node_id:
+            if link.kind == LinkKind.SATISFY:
+                return "S"
+            if link.kind == LinkKind.VIOLATE:
+                return "V"
+    return "M"
+
+
 def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
     """One CSV row per non-set expression in scope.
 
@@ -735,13 +756,7 @@ def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
                 return expr.name
             value = expr.attributes.get(column)
             return value.display() if value is not None else ""
-        for link in model.links_from(expr.id):
-            if link.target_id == column:
-                if link.kind == LinkKind.SATISFY:
-                    return "S"
-                if link.kind == LinkKind.VIOLATE:
-                    return "V"
-        return "M"
+        return _verdict_letter(model, expr.id, column)
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -766,16 +781,6 @@ def _underline_terms(text: str, model: Model) -> str:
         cursor = end
     out.append(text[cursor:])
     return "".join(out)
-
-
-def _verdict_letter(model: Model, expr_id: str, node_id: str) -> str:
-    for link in model.links_from(expr_id):
-        if link.target_id == node_id:
-            if link.kind == LinkKind.SATISFY:
-                return "S"
-            if link.kind == LinkKind.VIOLATE:
-                return "V"
-    return "M"
 
 
 def _overview_report(model: Model, scope_id: str | None) -> str:

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from datetime import datetime
 
-from .errors import NoInstancesError, UnknownColumnError
+from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
 from .model import Model
 
 METRIC_TYPE = "slot_completeness"
@@ -94,19 +94,24 @@ def render_history_csv(history: list[MetricInstance], header: bool = True) -> st
 def load_history_csv(text: str) -> list[MetricInstance]:
     """Parse rows written by render_history_csv; the header row is optional."""
     history: list[MetricInstance] = []
-    for row in csv.reader(io.StringIO(text)):
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
         if not row or row[0] == "timestamp":
             continue
         if len(row) != len(CSV_COLUMNS):
             raise UnknownColumnError(
                 f"metric row has {len(row)} columns, expected {len(CSV_COLUMNS)}")
-        history.append(MetricInstance(
-            timestamp=datetime.fromisoformat(row[0]),
-            scope=row[1],
-            metric_type=row[2],
-            total=int(row[3]),
-            slot_counts=tuple(int(n) for n in row[4:9]),
-            complete=int(row[9]),
-            pct=float(row[10]),
-        ))
+        try:
+            history.append(MetricInstance(
+                timestamp=datetime.fromisoformat(row[0]),
+                scope=row[1],
+                metric_type=row[2],
+                total=int(row[3]),
+                slot_counts=tuple(int(n) for n in row[4:9]),
+                complete=int(row[9]),
+                pct=float(row[10]),
+            ))
+        except ValueError as exc:
+            raise MetricHistoryError(
+                f"metric history line {reader.line_num}: {exc}") from None
     return history

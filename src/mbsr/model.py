@@ -3,15 +3,19 @@
 Holds elements, requirement expressions and sets, trace links, the glossary,
 and the metric history. Mutations validate first and then apply, so a failed
 call leaves the model unchanged. A single writer is assumed; queries are pure.
+Links are also indexed by source and by target id, each bucket kept in
+link-id order, so a node's link lookups cost in proportion to its own links.
 """
 
 from __future__ import annotations
 
 import re
 import uuid
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .catalog import Catalog, ValueKind, default_catalog
@@ -185,6 +189,9 @@ class TraceLink:
     target_id: str
 
 
+_link_id = attrgetter("link_id")
+
+
 class Model:
     def __init__(self, catalog: Catalog | None = None,
                  clock: Callable[[], datetime] | None = None,
@@ -196,6 +203,9 @@ class Model:
         self._elements: dict[str, ModelElement] = {}
         self._expressions: dict[str, RequirementExpression] = {}
         self._links: dict[str, TraceLink] = {}
+        # node id -> its outgoing / incoming links, each list in link-id order
+        self._links_by_source: dict[str, list[TraceLink]] = {}
+        self._links_by_target: dict[str, list[TraceLink]] = {}
         self._parent: dict[str, str] = {}  # member id -> containing set id
         self.metric_history: list = []
         self._link_counter = 0
@@ -236,11 +246,14 @@ class Model:
     def links(self) -> list[TraceLink]:
         return sorted(self._links.values(), key=lambda l: l.link_id)
 
+    def has_link(self, link_id: str) -> bool:
+        return link_id in self._links
+
     def links_from(self, source_id: str) -> list[TraceLink]:
-        return [l for l in self.links() if l.source_id == source_id]
+        return list(self._links_by_source.get(source_id, ()))
 
     def links_to(self, target_id: str) -> list[TraceLink]:
-        return [l for l in self.links() if l.target_id == target_id]
+        return list(self._links_by_target.get(target_id, ()))
 
     def parent_set(self, expr_id: str) -> str | None:
         return self._parent.get(expr_id)
@@ -402,8 +415,8 @@ class Model:
 
     def copy_source_of(self, expr_id: str) -> str | None:
         """Source id when expr_id is the read-only copy end of a Copy link."""
-        for link in self._links.values():
-            if link.kind == LinkKind.COPY and link.source_id == expr_id:
+        for link in self._links_by_source.get(expr_id, ()):
+            if link.kind == LinkKind.COPY:
                 return link.target_id
         return None
 
@@ -412,8 +425,9 @@ class Model:
         source = self.copy_source_of(expr_id)
         return source if source is not None else expr_id
 
-    def sync_copies_of(self, source_id: str) -> None:
-        """Push text to all transitive copies of source_id."""
+    def sync_copies_of(self, source_id: str, touch: bool = True) -> None:
+        """Push text to all transitive copies of source_id; touch=False skips
+        the copies' change stamps (used when loaders rebuild state)."""
         pending = [source_id]
         visited: set[str] = set()
         while pending:
@@ -422,12 +436,13 @@ class Model:
                 continue
             visited.add(current)
             src = self._expressions[current]
-            for link in self._links.values():
-                if link.kind == LinkKind.COPY and link.target_id == current:
+            for link in self._links_by_target.get(current, ()):
+                if link.kind == LinkKind.COPY:
                     copy = self._expressions[link.source_id]
                     if copy.text != src.text:
                         copy.text = src.text
-                        self._touch(copy)
+                        if touch:
+                            self._touch(copy)
                     pending.append(copy.id)
 
     # --- link storage (semantics live in trace) ---
@@ -443,9 +458,14 @@ class Model:
         if link.link_id in self._links:
             raise DuplicateIdError(f"link id {link.link_id!r} already in use")
         self._links[link.link_id] = link
+        insort(self._links_by_source.setdefault(link.source_id, []), link, key=_link_id)
+        insort(self._links_by_target.setdefault(link.target_id, []), link, key=_link_id)
 
     def remove_link(self, link_id: str) -> None:
-        self._links.pop(link_id, None)
+        link = self._links.pop(link_id, None)
+        if link is not None:
+            _unindex(self._links_by_source, link.source_id, link_id)
+            _unindex(self._links_by_target, link.target_id, link_id)
 
     # --- scopes ---
 
@@ -483,3 +503,10 @@ class Model:
             out.append(current)
             current = self._parent.get(current)
         return out
+
+
+def _unindex(index: dict[str, list[TraceLink]], node_id: str, link_id: str) -> None:
+    bucket = index[node_id]
+    del bucket[bisect_left(bucket, link_id, key=_link_id)]
+    if not bucket:
+        del index[node_id]

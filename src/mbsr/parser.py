@@ -10,6 +10,7 @@ guessed: a missing mandatory region raises EmptySlot instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import EmptySlotError, MissingMandatorySlotError, NoShallKeywordError
@@ -85,12 +86,18 @@ def _uncovered(text: str, covered: list[Span]) -> list[Span]:
     return out
 
 
+@cache
+def _default_catalog() -> Catalog:
+    """Built once; never handed out, and only its patterns are read."""
+    from .catalog import default_catalog
+    return default_catalog()
+
+
 def parse_statement(text: str, glossary: Glossary | None = None,
                     catalog: Catalog | None = None
                     ) -> tuple[StructuredStatement, ParseDiagnostics]:
     if catalog is None:
-        from .catalog import default_catalog
-        catalog = default_catalog()
+        catalog = _default_catalog()
 
     tokens = tokenize(text)
     shall_idxs = [i for i, t in enumerate(tokens) if t.text.lower() == "shall"]

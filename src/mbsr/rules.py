@@ -158,6 +158,28 @@ def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
     return findings
 
 
+def _contributors(catalog: Catalog) -> dict[str, list[str]]:
+    """Individual characteristic id -> the enabled automated rules that
+    contribute to it; characteristics with no such rule are absent."""
+    automated = [r for r in catalog.rules.values()
+                 if r.automation == Automation.AUTOMATED and r.enabled]
+    out: dict[str, list[str]] = {}
+    for char in catalog.characteristics_for(Applicability.INDIVIDUAL):
+        rule_ids = [r.rule_id for r in automated
+                    if char.characteristic_id in r.contributes_to]
+        if rule_ids:
+            out[char.characteristic_id] = rule_ids
+    return out
+
+
+def _rollup(contributors: dict[str, list[str]],
+            verdicts: dict[str, Verdict]) -> dict[str, Verdict]:
+    return {char_id: (Verdict.SATISFY
+                      if all(verdicts.get(r) is Verdict.SATISFY for r in rule_ids)
+                      else Verdict.VIOLATE)
+            for char_id, rule_ids in contributors.items()}
+
+
 def rollup(catalog: Catalog, verdicts: dict[str, Verdict]) -> dict[str, Verdict]:
     """Per-characteristic verdicts implied by per-rule verdicts.
 
@@ -165,16 +187,7 @@ def rollup(catalog: Catalog, verdicts: dict[str, Verdict]) -> dict[str, Verdict]
     that contributes to it satisfied; characteristics no automated rule
     contributes to stay unevaluated and are absent from the result.
     """
-    out: dict[str, Verdict] = {}
-    for char in catalog.characteristics_for(Applicability.INDIVIDUAL):
-        contributing = [r for r in catalog.rules.values()
-                        if r.automation == Automation.AUTOMATED and r.enabled
-                        and char.characteristic_id in r.contributes_to]
-        if not contributing:
-            continue
-        ok = all(verdicts.get(r.rule_id) is Verdict.SATISFY for r in contributing)
-        out[char.characteristic_id] = Verdict.SATISFY if ok else Verdict.VIOLATE
-    return out
+    return _rollup(_contributors(catalog), verdicts)
 
 
 def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
@@ -190,11 +203,12 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
             continue
         by_expr.setdefault(finding.expression_id, {})[finding.rule_id] = finding.verdict
 
+    contributors = _contributors(model.catalog)
     changed = 0
     for expr_id in sorted(by_expr):
         desired = dict(by_expr[expr_id])
         rule_only = {k: v for k, v in desired.items() if k in model.catalog.rules}
-        desired.update(rollup(model.catalog, rule_only))
+        desired.update(_rollup(contributors, rule_only))
 
         existing = [link for link in model.links_from(expr_id)
                     if link.kind in (LinkKind.SATISFY, LinkKind.VIOLATE)

@@ -73,11 +73,12 @@ def all_links(model: Model) -> list[TraceLink]:
 
 
 def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
-             link_id: str | None = None) -> TraceLink:
+             link_id: str | None = None, touch: bool = True) -> TraceLink:
     """Validate endpoints and kind constraints, then store the link.
 
     Containment delegates to set membership and returns the synthesized
     edge. Copy syncs the copy's text from the original immediately.
+    touch=False skips the change stamps either makes (used by loaders).
     """
     for any_id in (source_id, target_id):
         if not _known(model, any_id):
@@ -92,7 +93,7 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
         if not isinstance(container, RequirementSet):
             raise KindConstraintViolationError(
                 f"Containment source {source_id!r} must be a set")
-        model.set_members(source_id, list(container.members) + [target_id])
+        model.set_members(source_id, list(container.members) + [target_id], touch=touch)
         return TraceLink(f"cnt:{source_id}:{target_id}", kind, source_id, target_id)
 
     if kind in (LinkKind.DERIVE, LinkKind.COPY):
@@ -131,7 +132,7 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
     link = TraceLink(link_id or model.next_link_id(), kind, source_id, target_id)
     model.store_link(link)
     if kind == LinkKind.COPY:
-        model.sync_copies_of(target_id)
+        model.sync_copies_of(target_id, touch=touch)
     return link
 
 
@@ -144,7 +145,7 @@ def remove_link(model: Model, link_id: str) -> None:
                        if m != link.target_id]
             model.set_members(link.source_id, members)
             return
-    if not any(link.link_id == link_id for link in model.links()):
+    if not model.has_link(link_id):
         raise UnknownIdError(f"no link with id {link_id!r}")
     model.remove_link(link_id)
 

@@ -113,6 +113,16 @@ def test_metrics_history_appends(capsys, tmp_path):
     assert out.strip().split("\n") == lines
 
 
+def test_metrics_malformed_history_exits_two(capsys, tmp_path):
+    history = tmp_path / "bad.csv"
+    history.write_text("not-a-date,all,slot_completeness,1,0,1,1,0,1,1,100.00\n",
+                       encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", METRICS10, "metrics", "--history", str(history))
+    assert code == 2
+    assert err.startswith("error: metric history line 1:")
+    assert out == ""
+
+
 # --- trace ---
 
 
@@ -213,6 +223,17 @@ def test_export_mbsr_is_canonical_serialization(capsys):
                          "--format", "mbsr")
     assert code == 0
     assert out.startswith("[element ")
+
+
+def test_export_mbsr_does_not_stamp_a_loaded_copy(capsys, tmp_path):
+    corpus = tmp_path / "copy.mbsr"
+    corpus.write_text("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
+                      "[requirement R-2]\ntext = The System shall stop within 2 s.\n\n"
+                      "[link lnk-01]\nkind = Copy\nsource = R-2\ntarget = R-1\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", str(corpus), "export", "--format", "mbsr")
+    assert code == 0
+    assert "A14" not in out
 
 
 def test_export_dot(capsys):

@@ -171,10 +171,30 @@ def test_term_allocation_must_exist(catalog):
 
 def test_loading_does_not_stamp_a14(catalog):
     text = ("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
-            "[set S-1]\nname = All\nmembers = R-1\n")
+            "[requirement R-2]\ntext = The System shall stop within 1 s.\n\n"
+            "[set S-1]\nname = All\nmembers = R-1\n\n"
+            "[set S-2]\nname = Other\n\n"
+            "[link c-1]\nkind = Containment\nsource = S-2\ntarget = R-2\n")
     model = loads_corpus(text, catalog, clock=fixed_clock)
-    assert model.get_attribute("S-1", "A14") is None
-    assert model.get_attribute("R-1", "A14") is None
+    assert model.expression("S-2").members == ["R-2"]
+    for expr_id in ("S-1", "S-2", "R-1", "R-2"):
+        assert model.get_attribute(expr_id, "A14") is None
+
+
+COPY_CORPUS = ("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
+               "[requirement R-2]\ntext = The System shall stop within 2 s.\n\n"
+               "[link lnk-01]\nkind = Copy\nsource = R-2\ntarget = R-1\n")
+
+
+def test_loading_a_diverged_copy_syncs_text_without_stamping_a14(catalog):
+    model = loads_corpus(COPY_CORPUS, catalog, clock=fixed_clock)
+    assert model.expression("R-2").text == "The System shall run within 1 s."
+    assert model.get_attribute("R-2", "A14") is None
+    assert "A14" not in serialize_corpus(model)
+
+    model.set_text("R-1", "The System shall run within 3 s.")
+    assert model.expression("R-2").text == "The System shall run within 3 s."
+    assert model.get_attribute("R-2", "A14").value == fixed_clock()
 
 
 # --- XMI export ---
@@ -230,6 +250,24 @@ def test_xmi_import_round_trip(asteroid_model, catalog):
     assert expr.statement is not None
     assert expr.statement.sr2_subject.binding == "blk-spacecraft"
     assert back.expression("L3-EX").members == ["L3-EX.1"]
+
+
+def test_xmi_import_rejects_unknown_element_kind(asteroid_model, catalog):
+    xmi = export_xmi(asteroid_model)
+    assert "Kind='Block'" in xmi
+    with pytest.raises(CorpusValidationError, match="Gizmo"):
+        import_xmi(xmi.replace("Kind='Block'", "Kind='Gizmo'", 1), catalog)
+
+
+def test_xmi_import_rejects_bad_timestamp(catalog):
+    model = Model(catalog=catalog, clock=fixed_clock)
+    model.add_expression(RequirementExpression("R-1", text="The System shall run within 1 s."))
+    model.set_text("R-1", "The System shall run within 2 s.")
+    xmi = export_xmi(model)
+    stamp = model.get_attribute("R-1", "A14").display()
+    assert stamp in xmi
+    with pytest.raises(CorpusValidationError, match="not-a-date"):
+        import_xmi(xmi.replace(stamp, "not-a-date"), catalog)
 
 
 def test_mangled_attribute_name_rules(catalog):
@@ -295,6 +333,21 @@ def test_export_table_verdict_columns(mixed_model):
     rows = dict(line.split(",", 1) for line in csv_text.strip().split("\n")[1:])
     assert rows["M-02"] == "V,S"
     assert rows["M-03"] == "S,V"
+
+
+def test_verdict_letter_is_the_first_verdict_link_in_id_order(catalog):
+    text = ("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
+            "[set S-1]\nname = All\nmembers = R-1\n\n"
+            "[link lnk-9999]\nkind = Satisfy\nsource = R-1\ntarget = R16\n\n"
+            "[link lnk-10000]\nkind = Violate\nsource = R-1\ntarget = R16\n\n"
+            "[link a-1]\nkind = Satisfy\nsource = R-1\ntarget = C3\n\n"
+            "[link b-1]\nkind = Violate\nsource = R-1\ntarget = C3\n")
+    model = loads_corpus(text, catalog, clock=fixed_clock)
+    # "lnk-10000" sorts before "lnk-9999" as a string, so Violate comes first
+    csv_text = export_table(model, None, ["id", "R16", "C3", "R1"])
+    assert csv_text.splitlines()[1] == "R-1,V,S,M"
+    report = generate_report(model, None, "SetReview")
+    assert "| R-1 | M | M | M | V | M |" in report
 
 
 # --- reports ---

@@ -14,7 +14,7 @@ from mbsr import (
     record_metric,
     render_history_csv,
 )
-from mbsr.errors import NoInstancesError, UnknownColumnError
+from mbsr.errors import MetricHistoryError, NoInstancesError, UnknownColumnError
 from mbsr.metrics import CSV_COLUMNS
 from tests.conftest import STAMP, fixed_clock
 
@@ -120,6 +120,17 @@ def test_csv_rejects_malformed_rows():
     header = ",".join(CSV_COLUMNS)
     with pytest.raises(UnknownColumnError):
         load_history_csv(header + "\n1,2,3\n")
+
+
+def test_csv_rejects_bad_values_naming_the_line(metrics_model):
+    good = render_history_csv([compute_slot_completeness(metrics_model, timestamp=T1)])
+    row = good.strip().split("\n")[1].split(",")
+    bad_stamp = ",".join(["not-a-date"] + row[1:])
+    with pytest.raises(MetricHistoryError, match="line 3.*not-a-date"):
+        load_history_csv(good + bad_stamp + "\n")
+    bad_count = ",".join(row[:3] + ["many"] + row[4:])
+    with pytest.raises(MetricHistoryError, match="line 1.*many"):
+        load_history_csv(bad_count + "\n")
 
 
 def test_metric_instance_is_frozen(metrics_model):
