@@ -45,8 +45,6 @@ DEFAULT_MODEL_UUID = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 # wall-clock epoch used when a caller wants reproducible output
 FIXED_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
-PATTERN_IDS = ("Iso1", "Iso2", "Carson")
-
 MANDATORY_SLOTS: dict[str, tuple[str, ...]] = {
     "Iso1": ("SR2", "SR3", "SR5"),
     "Iso2": ("SR1", "SR2", "SR3", "SR4", "SR5"),

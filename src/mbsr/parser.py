@@ -5,13 +5,18 @@ comma before "shall" selects the five-slot form; a trailing "under <condition>"
 after the constraint selects the Carson form; anything else is the three-slot
 form. The token after "shall" is taken as the action head. No marker is ever
 guessed: a missing mandatory region raises EmptySlot instead.
+
+The decomposition itself (`_decompose`) works on a tokenized text and builds
+no statement, so the R1 checker can reuse the tokens every rule reads;
+`parse_statement` adds the diagnostics and the statement on top of it.
+Marker lexicons are pre-split once per distinct lexicon tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptySlotError, MissingMandatorySlotError, NoShallKeywordError
 from .model import MANDATORY_SLOTS, SLOT_FIELDS, SlotValue, StructuredStatement
@@ -36,19 +41,26 @@ class ParseDiagnostics:
     connective_spans: list[tuple[int, int, str]] = field(default_factory=list)
 
 
-def _marker_sequences(lexicon: tuple[str, ...]) -> list[tuple[str, ...]]:
+@cache
+def _marker_sequences(lexicon: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Lower-cased marker word sequences, longest first; one entry per lexicon."""
     seqs = [tuple(m.lower().split()) for m in lexicon if m.strip()]
     seqs.sort(key=len, reverse=True)
-    return seqs
+    return tuple(seqs)
 
 
-def _find_marker(tokens: list[Token], start: int,
-                 sequences: list[tuple[str, ...]]) -> tuple[int, int] | None:
+@cache
+def _word_set(lexicon: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(w.lower() for w in lexicon)
+
+
+def _find_marker(lower: list[str], start: int,
+                 sequences: tuple[tuple[str, ...], ...]) -> tuple[int, int] | None:
     """First (index, length-in-tokens) marker match at or after start."""
-    lower = [t.text.lower() for t in tokens]
-    for k in range(start, len(tokens)):
+    for k in range(start, len(lower)):
+        word = lower[k]
         for seq in sequences:
-            if k + len(seq) <= len(tokens) and tuple(lower[k:k + len(seq)]) == seq:
+            if seq[0] == word and tuple(lower[k:k + len(seq)]) == seq:
                 return k, len(seq)
     return None
 
@@ -93,15 +105,21 @@ def _default_catalog() -> Catalog:
     return default_catalog()
 
 
-def parse_statement(text: str, glossary: Glossary | None = None,
-                    catalog: Catalog | None = None
-                    ) -> tuple[StructuredStatement, ParseDiagnostics]:
-    if catalog is None:
-        catalog = _default_catalog()
+class _Decomposition(NamedTuple):
+    pattern: str
+    shall_idxs: list[int]           # token indexes of every 'shall'
+    slot_spans: dict[str, Span]
+    connectives: list[tuple[int, int, str]]
 
-    tokens = tokenize(text)
-    shall_idxs = [i for i, t in enumerate(tokens) if t.text.lower() == "shall"]
-    diag = ParseDiagnostics(shall_count=len(shall_idxs))
+
+def _decompose(text: str, tokens: list[Token], lower: list[str],
+               catalog: Catalog) -> _Decomposition:
+    """Pattern, slot spans and connective spans of a tokenized text.
+
+    lower holds each token's text lower-cased. Raises NoShallKeyword or
+    EmptySlot when the text does not decompose.
+    """
+    shall_idxs = [i for i, word in enumerate(lower) if word == "shall"]
     if not shall_idxs:
         raise NoShallKeywordError(f"no 'shall' keyword in {text!r}")
     shall = shall_idxs[0]
@@ -112,9 +130,7 @@ def parse_statement(text: str, glossary: Glossary | None = None,
     # five-slot form: leading condition keyword, comma before the first shall
     iso2 = False
     region_start = 0
-    cond_lexicon = catalog.patterns["Iso2"].connective_words["SR1"]
-    cond_words = {w.lower() for w in cond_lexicon}
-    if tokens and tokens[0].text.lower() in cond_words:
+    if lower[0] in _word_set(catalog.patterns["Iso2"].connective_words["SR1"]):
         comma_pos = text.find(",")
         if 0 <= comma_pos < tokens[shall].start:
             cond_last = -1
@@ -143,7 +159,7 @@ def parse_statement(text: str, glossary: Glossary | None = None,
 
     scan_pattern = "Iso2" if iso2 else "Iso1"
     sequences = _marker_sequences(catalog.patterns[scan_pattern].connective_words["SR5"])
-    found = _find_marker(tokens, action + 1, sequences)
+    found = _find_marker(lower, action + 1, sequences)
     if found is None:
         raise EmptySlotError("SR5")
     marker, marker_len = found
@@ -157,17 +173,17 @@ def parse_statement(text: str, glossary: Glossary | None = None,
         slot_spans["SR4"] = _span_of(tokens, action + 1, marker - 1)
         slot_spans["SR5"] = _span_of(tokens, marker, len(tokens) - 1)
     else:
-        carson_words = {w.lower() for w in catalog.patterns["Carson"].connective_words["SR1"]}
+        carson_words = _word_set(catalog.patterns["Carson"].connective_words["SR1"])
         trailing = None
         for u in range(marker + marker_len, len(tokens) - 1):
-            if tokens[u].text.lower() in carson_words:
+            if lower[u] in carson_words:
                 trailing = u
         if trailing is not None:
             pattern = "Carson"
             slot_spans["SR3"] = _span_of(tokens, action, marker - 1)
             slot_spans["SR5"] = _span_of(tokens, marker, trailing - 1)
             kw = tokens[trailing]
-            connectives.append((kw.start, kw.end, kw.text.lower()))
+            connectives.append((kw.start, kw.end, lower[trailing]))
             slot_spans["SR1"] = _span_of(tokens, trailing + 1, len(tokens) - 1)
         else:
             pattern = "Iso1"
@@ -177,18 +193,33 @@ def parse_statement(text: str, glossary: Glossary | None = None,
     stripped = text.rstrip()
     if stripped.endswith("."):
         connectives.append((len(stripped) - 1, len(stripped), "."))
+    return _Decomposition(pattern, shall_idxs, slot_spans, connectives)
 
-    diag.matched_pattern = pattern
-    diag.slot_spans = {key: slot_spans[key] for key in catalog.patterns[pattern].slot_order}
-    diag.connective_spans = sorted(connectives)
-    covered = list(slot_spans.values()) + [(s, e) for s, e, _ in connectives]
-    diag.unconsumed = _uncovered(text, covered)
+
+def parse_statement(text: str, glossary: Glossary | None = None,
+                    catalog: Catalog | None = None
+                    ) -> tuple[StructuredStatement, ParseDiagnostics]:
+    if catalog is None:
+        catalog = _default_catalog()
+    tokens = tokenize(text)
+    parts = _decompose(text, tokens, [t.text.lower() for t in tokens], catalog)
+
+    slot_spans = parts.slot_spans
+    covered = list(slot_spans.values()) + [(s, e) for s, e, _ in parts.connectives]
+    diag = ParseDiagnostics(
+        matched_pattern=parts.pattern,
+        shall_count=len(parts.shall_idxs),
+        unconsumed=_uncovered(text, covered),
+        slot_spans={key: slot_spans[key]
+                    for key in catalog.patterns[parts.pattern].slot_order},
+        connective_spans=sorted(parts.connectives),
+    )
 
     values: dict[str, SlotValue | None] = {}
     for key, span in slot_spans.items():
         fragment = text[span[0]:span[1]]
         values[SLOT_FIELDS[key]] = SlotValue(fragment, _bind(fragment, glossary))
-    statement = StructuredStatement(pattern=pattern, **values)
+    statement = StructuredStatement(pattern=parts.pattern, **values)
     return statement, diag
 
 

@@ -6,6 +6,10 @@ R16 ('shall not'). A fifth check, the TBX placeholder scan, is not a
 numbered rule; it reports under the reserved node id "TBX". Every other
 catalog rule is manual and produces no finding.
 
+`check_text` tokenizes a text once and hands the tokens to every checker. R1
+runs the parser's decomposition on them without building a statement, and
+counts and locates 'shall' from the same tokens.
+
 Verdicts persist as Satisfy/Violate links from the requirement to the rule
 node, plus one rolled-up link per individual characteristic that at least
 one automated rule contributes to. Re-applying identical verdicts keeps the
@@ -17,15 +21,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .catalog import TBX_ID, Applicability, Automation, Catalog, RuleDef, ValueKind
 from .errors import MbsrError, NoShallKeywordError
 from .model import ExpressionKind, LinkKind, Model, RequirementExpression, TraceLink
-from .parser import count_shall, parse_statement
-from .textscan import tokenize
+from .parser import _decompose, _word_set
+from .textscan import Token, tokenize
 
 _BE_VERBS = frozenset({"be", "is", "are", "was", "were", "been"})
 TBX_RE = re.compile(r"\bTB[CDRN]\b")
+_SHALL_NOT_RE = re.compile(r"\bshall\s+not\b", re.IGNORECASE)
 _PARTICIPLE_WINDOW = 3
 _AGENT_WINDOW = 3
 
@@ -48,26 +54,28 @@ class RuleFinding:
     span: tuple[int, int] | None = None
 
 
-def _check_r1(text: str, catalog: Catalog, rule: RuleDef) -> tuple[Verdict, str, tuple[int, int] | None]:
+_Outcome = tuple[Verdict, str, tuple[int, int] | None]
+
+
+def _check_r1(text: str, tokens: list[Token], lower: list[str],
+              catalog: Catalog, rule: RuleDef) -> _Outcome:
     try:
-        parse_statement(text, None, catalog)
+        shall_idxs = _decompose(text, tokens, lower, catalog).shall_idxs
     except NoShallKeywordError:
         return Verdict.VIOLATE, "no 'shall' keyword", None
     except MbsrError as exc:
         return Verdict.VIOLATE, f"does not decompose into a pattern ({exc})", None
-    n = count_shall(text)
-    if n != 1:
-        shalls = [t for t in tokenize(text) if t.text.lower() == "shall"]
-        extra = shalls[1]
-        return (Verdict.VIOLATE, f"{n} 'shall' keywords, statement is not singular",
+    if len(shall_idxs) != 1:
+        extra = tokens[shall_idxs[1]]
+        return (Verdict.VIOLATE,
+                f"{len(shall_idxs)} 'shall' keywords, statement is not singular",
                 (extra.start, extra.end))
     return Verdict.SATISFY, "decomposes into a pattern with a single 'shall'", None
 
 
-def _check_r2(text: str, catalog: Catalog, rule: RuleDef) -> tuple[Verdict, str, tuple[int, int] | None]:
-    irregular = {w.lower() for w in rule.params.get("participles", ())}
-    tokens = tokenize(text)
-    lower = [t.text.lower() for t in tokens]
+def _check_r2(text: str, tokens: list[Token], lower: list[str],
+              catalog: Catalog, rule: RuleDef) -> _Outcome:
+    irregular = _word_set(rule.params.get("participles", ()))
     for i, word in enumerate(lower):
         if word not in _BE_VERBS:
             continue
@@ -83,17 +91,25 @@ def _check_r2(text: str, catalog: Catalog, rule: RuleDef) -> tuple[Verdict, str,
     return Verdict.SATISFY, "no passive construction found", None
 
 
-def _check_r10(text: str, catalog: Catalog, rule: RuleDef) -> tuple[Verdict, str, tuple[int, int] | None]:
-    for phrase in rule.params.get("phrases", ()):
-        match = re.search(r"\b" + re.escape(phrase) + r"\b", text, re.IGNORECASE)
+@cache
+def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
+    return tuple(re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE)
+                 for phrase in phrases)
+
+
+def _check_r10(text: str, tokens: list[Token], lower: list[str],
+               catalog: Catalog, rule: RuleDef) -> _Outcome:
+    for pattern in _phrase_patterns(rule.params.get("phrases", ())):
+        match = pattern.search(text)
         if match:
             return (Verdict.VIOLATE, f"superfluous phrase {match.group(0)!r}",
                     match.span())
     return Verdict.SATISFY, "no superfluous phrase found", None
 
 
-def _check_r16(text: str, catalog: Catalog, rule: RuleDef) -> tuple[Verdict, str, tuple[int, int] | None]:
-    match = re.search(r"\bshall\s+not\b", text, re.IGNORECASE)
+def _check_r16(text: str, tokens: list[Token], lower: list[str],
+               catalog: Catalog, rule: RuleDef) -> _Outcome:
+    match = _SHALL_NOT_RE.search(text)
     if match:
         return (Verdict.VIOLATE, "'shall not' states what must not happen; "
                 "state the required behavior instead", match.span())
@@ -110,12 +126,14 @@ _CHECKERS = {
 
 def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[RuleFinding]:
     """Findings for one statement text: enabled automated rules, then TBX."""
+    tokens = tokenize(text)
+    lower = [t.text.lower() for t in tokens]
     findings: list[RuleFinding] = []
     for rule_id, checker in _CHECKERS.items():
         rule = catalog.rules[rule_id]
         if rule.automation != Automation.AUTOMATED or not rule.enabled:
             continue
-        verdict, message, span = checker(text, catalog, rule)
+        verdict, message, span = checker(text, tokens, lower, catalog, rule)
         findings.append(RuleFinding(rule_id, expression_id, verdict, message, span))
     match = TBX_RE.search(text)
     if match:

@@ -7,14 +7,13 @@ underscore compounds stay single tokens. Spans index the original string.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TOKEN_RE = re.compile(r"\S+")
 _TRAILING_PUNCT = ".,;:!?"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str    # token with trailing punctuation stripped
     start: int   # offset of text start in the source string
     end: int     # offset just past the stripped text
@@ -30,7 +29,3 @@ def tokenize(text: str) -> list[Token]:
             continue
         tokens.append(Token(stripped, m.start(), m.start() + len(stripped), m.end()))
     return tokens
-
-
-def normalize_whitespace(text: str) -> str:
-    return " ".join(text.split())

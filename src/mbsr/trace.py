@@ -138,12 +138,14 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
 
 def remove_link(model: Model, link_id: str) -> None:
     """Remove a stored link, or undo the membership behind a synthesized
-    containment edge (the `cnt:` ids reported by all_links)."""
-    for link in synthesized_containment(model):
-        if link.link_id == link_id:
-            members = [m for m in model.expression(link.source_id).members
-                       if m != link.target_id]
-            model.set_members(link.source_id, members)
+    containment edge (the `cnt:<set>:<member>` ids reported by all_links).
+    A real membership wins over a stored link with the same id."""
+    prefix, _, rest = link_id.partition(":")
+    set_id, _, member = rest.partition(":")
+    if prefix == "cnt" and model.has_expression(set_id):
+        container = model.expression(set_id)
+        if isinstance(container, RequirementSet) and member in container.members:
+            model.set_members(set_id, [m for m in container.members if m != member])
             return
     if not model.has_link(link_id):
         raise UnknownIdError(f"no link with id {link_id!r}")

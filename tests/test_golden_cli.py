@@ -1,0 +1,116 @@
+"""Golden CLI outputs: stdout, stderr and exit code, byte for byte.
+
+Every case runs `mbsr.cli.main` in-process over one shipped fixture and
+compares the result with the files under tests/golden/: one `<case>.stdout`
+per case in a folder per fixture, and `expected.json` holding each case's
+exit code and stderr. A refactor or speed-up must leave them unchanged.
+
+After a deliberate output change, regenerate the files and review the diff:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --update
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from mbsr.cli import main
+
+REPO_DIR = Path(__file__).resolve().parent.parent
+CORPUS_DIR = REPO_DIR / "fixtures"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN_DIR / "expected.json"
+
+_TABLE_COLUMNS = ("id,name,text,SR1,SR2,SR3,SR4,SR5,"
+                  "R1,R2,R10,R16,TBX,C3,C4,C5,C7,C9")
+
+_COMMON = {
+    "lint": ["lint"],
+    "validate": ["validate"],
+    "metrics": ["metrics"],
+    "matrix-csv": ["matrix", "--format", "csv"],
+    "matrix-md": ["matrix", "--format", "md"],
+    "export-md-overview": ["export", "--format", "md", "--template", "Overview"],
+    "export-md-setreview": ["export", "--format", "md", "--template", "SetReview"],
+    "export-csv": ["export", "--format", "csv", "--columns", _TABLE_COLUMNS],
+    "export-xmi": ["export", "--format", "xmi"],
+    "export-dot": ["export", "--format", "dot"],
+    "export-mbsr": ["export", "--format", "mbsr"],
+    "glossary-check": ["glossary", "--check"],
+}
+
+_PARSE_IDS = {
+    "asteroid": ["L3-EX.1", "L3-EX", "NO-SUCH-ID"],
+    "metrics10": ["R-01", "R-05", "R-08", "R-10"],
+    "mixed": ["M-01", "M-02", "M-03", "M-04"],
+    "mixed_fixed": ["M-01", "M-03"],
+    "tracechain": ["L3-A", "L3-A-copy", "L4-A", "L5-A"],
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    """Case name ("<fixture>/<case>") -> argv after --corpus."""
+    cases: dict[str, list[str]] = {}
+    for fixture, parse_ids in _PARSE_IDS.items():
+        for name, argv in _COMMON.items():
+            cases[f"{fixture}/{name}"] = argv
+        for req_id in parse_ids:
+            cases[f"{fixture}/parse-{req_id}"] = ["parse", req_id]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(case: str) -> tuple[int, str, str]:
+    fixture = case.split("/", 1)[0]
+    argv = ["--corpus", str(CORPUS_DIR / f"{fixture}.mbsr")] + CASES[case]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _stdout_path(case: str) -> Path:
+    return GOLDEN_DIR / f"{case}.stdout"
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict[str, dict]:
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+def test_golden_cases_match_the_case_table(expected):
+    assert sorted(expected) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, expected):
+    code, out, err = run_case(case)
+    assert code == expected[case]["exit"]
+    assert err == expected[case]["stderr"]
+    assert out.encode("utf-8") == _stdout_path(case).read_bytes()
+
+
+def _update() -> None:
+    expected: dict[str, dict] = {}
+    for case in sorted(CASES):
+        code, out, err = run_case(case)
+        path = _stdout_path(case)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(out.encode("utf-8"))
+        expected[case] = {"exit": code, "stderr": err}
+    EXPECTED.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: test_golden_cli.py --update")
+    _update()

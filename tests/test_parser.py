@@ -191,3 +191,19 @@ def test_fuzz_inputs_never_crash_uncontrolled():
             render_statement(statement)
         except MbsrError:
             pass
+
+
+def test_marker_lexicon_overrides_do_not_share_cached_markers(tmp_path):
+    from mbsr import default_catalog, load_catalog
+
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[pattern Iso1]\nsr5_markers = within\n", encoding="utf-8")
+    narrow = load_catalog(cfg)
+    text = "The System shall run with power within 1 s."
+    for _ in range(2):
+        default, _ = parse_statement(text, None, default_catalog())
+        assert default.sr3_action.text == "run"
+        assert default.sr5_constraint.text == "with power within 1 s"
+        overridden, _ = parse_statement(text, None, narrow)
+        assert overridden.sr3_action.text == "run with power"
+        assert overridden.sr5_constraint.text == "within 1 s"

@@ -3,6 +3,7 @@ rollup, and randomized check/apply properties."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -240,3 +241,97 @@ def test_randomized_check_apply_cycles(catalog):
                       and l.target_id in rules}
             for rid, verdict in rules.items():
                 assert stored[rid] is verdict.link_kind
+
+
+# --- R1 against the parser, and one tokenization per text ---
+
+_R1_SUBJECTS = ("System", "Orbiter", "Ground_System", "Probe")
+_R1_ACTIONS = ("log", "transmit", "image", "store")
+_R1_OBJECTS = ("Events", "Telemetry", "Raw_Images", "samples")
+_R1_CONSTRAINTS = ("within 1 s", "at least 3 times per pass", "every 12 hours",
+                   "in less than 5 min", "with 2 m accuracy", "no more than 4 kg")
+_R1_CONDITIONS = ("While in Survey mode", "When the Probe lands", "During descent",
+                  "Upon receipt of the signal")
+_R1_ENDINGS = (".", "", "!", ";", "..", " .", ".\n")
+_SHALL_TOKEN = re.compile(r"(?<!\S)shall[.,;:!?]*(?!\S)", re.IGNORECASE)
+
+
+def _r1_text(rng):
+    subject, action = rng.choice(_R1_SUBJECTS), rng.choice(_R1_ACTIONS)
+    obj, constraint = rng.choice(_R1_OBJECTS), rng.choice(_R1_CONSTRAINTS)
+    shape = rng.choice(("Iso1", "Iso2", "Carson", "no-shall", "two-shall",
+                        "passive", "shall-not", "placeholder", "mangled"))
+    verb = "Shall" if rng.random() < 0.1 else "shall"
+    body = f"{verb} {action} {obj} {constraint}"
+    if shape == "Iso2":
+        text = f"{rng.choice(_R1_CONDITIONS)}, the {subject} {body}"
+    elif shape == "Carson":
+        text = f"The {subject} {body} under {rng.choice(('eclipse', 'nominal load'))}"
+    elif shape == "no-shall":
+        text = f"The {subject} {rng.choice(('must', 'will', 'Marshall'))} {action} {constraint}"
+    elif shape == "two-shall":
+        second = rng.choice(("shall", "Shall", "shall,", "shall."))
+        text = f"The {subject} {body} and {second} {rng.choice(_R1_ACTIONS)} {obj}"
+    elif shape == "passive":
+        text = f"The {obj} shall be {action}ed by the {subject} {constraint}"
+    elif shape == "shall-not":
+        text = f"The {subject} shall not {action} {obj} {constraint}"
+    elif shape == "placeholder":
+        text = f"The {subject} {body} with TBD {rng.choice(('margin', 'TBC'))}"
+    else:
+        words = f"The {subject} {body}".split()
+        for _ in range(rng.randrange(1, 3)):
+            del words[rng.randrange(len(words))]
+        if rng.random() < 0.5:
+            words.insert(rng.randrange(len(words) + 1), "shall")
+        text = " ".join(words)
+    return text + rng.choice(_R1_ENDINGS)
+
+
+@pytest.mark.parametrize("seed", [4, 17, 2026])
+def test_r1_satisfies_exactly_when_parse_succeeds_with_one_shall(catalog, seed):
+    from mbsr import count_shall, parse_statement
+    from mbsr.errors import MbsrError
+
+    rng = random.Random(seed)
+    for _ in range(400):
+        text = _r1_text(rng)
+        finding = next(f for f in check_text(text, catalog) if f.rule_id == "R1")
+        try:
+            parse_statement(text, None, catalog)
+            parses = True
+        except MbsrError:
+            parses = False
+        shalls = [m.start() for m in _SHALL_TOKEN.finditer(text)]
+        assert count_shall(text) == len(shalls), text
+        expected = Verdict.SATISFY if parses and len(shalls) == 1 else Verdict.VIOLATE
+        assert finding.verdict is expected, text
+        if parses and len(shalls) > 1:
+            assert finding.span == (shalls[1], shalls[1] + len("shall")), text
+            assert finding.message.startswith(f"{len(shalls)} 'shall' keywords"), text
+        else:
+            assert finding.span is None, text
+
+
+def test_check_text_tokenizes_each_text_once(catalog, monkeypatch):
+    import mbsr.parser
+    import mbsr.rules
+
+    calls = []
+    original = mbsr.rules.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(mbsr.rules, "tokenize", counting)
+    monkeypatch.setattr(mbsr.parser, "tokenize", counting)
+    texts = ["The System shall run within 1 s.",
+             "While idle, the System shall log Events within 1 s.",
+             "The Report shall be produced by the Processor within 1 day.",
+             "The System shall run and shall stop within 1 s.",
+             "The System must hum.", ""]
+    for text in texts:
+        calls.clear()
+        check_text(text, catalog)
+        assert calls == [text]

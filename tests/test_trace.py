@@ -17,14 +17,16 @@ from mbsr import (
     RequirementExpression,
     RequirementSet,
     TraceDiscouragedWarning,
+    TraceLink,
     add_link,
     all_links,
     bidirectional_trace,
     kdr_view,
     matrix_rows,
     remove_link,
+    serialize_corpus,
 )
-from mbsr import AttributeValue
+from mbsr import AttributeValue, trace
 from mbsr.errors import (
     KindConstraintViolationError,
     UnknownEndpointError,
@@ -176,6 +178,43 @@ def test_remove_synthesized_containment_updates_members(catalog):
     model.add_set(RequirementSet("SET-A", name="Top", members=["L1", "L2"]))
     remove_link(model, "cnt:SET-A:L1")
     assert model.expression("SET-A").members == ["L2"]
+
+
+@pytest.mark.parametrize("link_id", ["cnt:SET-A:L3", "cnt:SET-B:L1", "cnt:L1:L2",
+                                     "cnt:SET-A", "cnt:", "cnt:SET-A:L1:x"])
+def test_remove_containment_id_without_membership_raises(catalog, link_id):
+    model = chain_model(catalog)
+    model.add_set(RequirementSet("SET-A", name="Top", members=["L1", "L2"]))
+    before = serialize_corpus(model)
+    with pytest.raises(UnknownIdError):
+        remove_link(model, link_id)
+    assert serialize_corpus(model) == before
+
+
+def test_remove_containment_does_not_synthesize_every_edge(catalog, monkeypatch):
+    model = chain_model(catalog)
+    model.add_set(RequirementSet("SET-A", name="Top", members=["L1", "L2"]))
+    link = add_link(model, LinkKind.SATISFY, "blk-x", "L1")
+
+    def refuse(model):
+        raise AssertionError("remove_link must not synthesize every containment edge")
+
+    monkeypatch.setattr(trace, "synthesized_containment", refuse)
+    remove_link(model, "cnt:SET-A:L2")
+    remove_link(model, link.link_id)
+    assert model.expression("SET-A").members == ["L1"]
+    assert not model.has_link(link.link_id)
+
+
+def test_membership_wins_over_stored_link_with_containment_id(catalog):
+    model = chain_model(catalog)
+    model.add_set(RequirementSet("SET-A", name="Top", members=["L1", "L2"]))
+    model.store_link(TraceLink("cnt:SET-A:L1", LinkKind.SATISFY, "blk-x", "L1"))
+    remove_link(model, "cnt:SET-A:L1")
+    assert model.expression("SET-A").members == ["L2"]
+    assert model.has_link("cnt:SET-A:L1")
+    remove_link(model, "cnt:SET-A:L1")
+    assert not model.has_link("cnt:SET-A:L1")
 
 
 def test_remove_unknown_link_raises(catalog):
