@@ -37,9 +37,9 @@ def parse_blocks(text: str) -> list[Block]:
     fence_start = 0
 
     lines = text.split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-
+    if "\r" in text:
+        lines = [raw[:-1] if raw.endswith("\r") else raw for raw in lines]
+    for lineno, line in enumerate(lines, start=1):
         if fence_key is not None:
             if line == FENCE_CLOSE:
                 assert current is not None
@@ -55,10 +55,11 @@ def parse_blocks(text: str) -> list[Block]:
         if not stripped:
             current = None
             continue
-        if stripped.startswith("#"):
+        lead = stripped[0]
+        if lead == "#":
             continue
 
-        if stripped.startswith("["):
+        if lead == "[":
             m = _HEADER_RE.match(stripped)
             if not m:
                 raise CorpusSyntaxError(f"malformed block header: {stripped!r}", lineno)
@@ -70,15 +71,15 @@ def parse_blocks(text: str) -> list[Block]:
 
         if current is None:
             raise CorpusSyntaxError(f"body line outside any block: {stripped!r}", lineno)
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise CorpusSyntaxError(f"expected 'key = value': {stripped!r}", lineno)
-        key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise CorpusSyntaxError("empty key", lineno)
         if key in current.fields:
             raise CorpusSyntaxError(f"duplicate key {key!r} in block [{current.kind} {current.ident}]", lineno)
+        value = value.strip()
         if value == FENCE_OPEN:
             fence_key = key
             fence_start = lineno

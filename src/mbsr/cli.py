@@ -40,6 +40,7 @@ from .rules import Verdict, apply_verdicts, check_scope
 from .trace import bidirectional_trace
 
 _RULE_ORDER = sorted(AUTOMATED_RULE_IDS, key=lambda r: int(r[1:])) + [TBX_ID]
+_RULE_RANK = {rule_id: rank for rank, rule_id in enumerate(_RULE_ORDER)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,8 +112,9 @@ def _load_model(args: argparse.Namespace) -> Model:
 
 
 def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
+    # Output comes from the findings alone; verdict links would be stored in
+    # a model that is thrown away at exit, so none are applied.
     findings = check_scope(model, args.scope)
-    apply_verdicts(model, findings)
     lines: list[str] = []
     violations = 0
     by_expr: dict[str, list] = {}
@@ -122,7 +124,7 @@ def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
         expr = model.expression(expr_id)
         summary = " ".join(
             f"{f.rule_id}={'S' if f.verdict is Verdict.SATISFY else 'V'}"
-            for f in sorted(by_expr[expr_id], key=lambda f: _RULE_ORDER.index(f.rule_id)))
+            for f in sorted(by_expr[expr_id], key=lambda f: _RULE_RANK[f.rule_id]))
         lines.append(f"{expr_id} {summary}")
         for finding in by_expr[expr_id]:
             if finding.verdict is not Verdict.VIOLATE:

@@ -31,18 +31,34 @@ class GlossaryTerm:
 class Glossary:
     case_insensitive: bool = False
     _terms: dict[str, GlossaryTerm] = field(default_factory=dict)
+    # every term name and synonym -> its term, as written and lower-cased;
+    # on a lower-cased collision the term added first keeps the name
+    _by_name: dict[str, GlossaryTerm] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
+    _by_folded: dict[str, GlossaryTerm] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for term in self._terms.values():
+            self._index(term)
+
+    def _index(self, term: GlossaryTerm) -> None:
+        for name in (term.term, *term.synonyms):
+            self._by_name[name] = term
+            self._by_folded.setdefault(name.lower(), term)
 
     def add_term(self, term: GlossaryTerm) -> None:
         names = {term.term, *term.synonyms}
-        for existing in self._terms.values():
-            taken = {existing.term, *existing.synonyms}
-            clash = names & taken
-            if clash:
-                raise DuplicateIdError(
-                    f"glossary name(s) {sorted(clash)} already used by term {existing.term!r}")
+        if not names.isdisjoint(self._by_name):
+            for existing in self._terms.values():
+                clash = names & {existing.term, *existing.synonyms}
+                if clash:
+                    raise DuplicateIdError(
+                        f"glossary name(s) {sorted(clash)} already used by term {existing.term!r}")
         if len(names) != 1 + len(term.synonyms):
             raise DuplicateIdError(f"term {term.term!r} collides with its own synonyms")
         self._terms[term.term] = term
+        self._index(term)
 
     def terms(self) -> list[GlossaryTerm]:
         return sorted(self._terms.values(), key=lambda t: t.term)
@@ -58,14 +74,9 @@ class Glossary:
 
     def resolve(self, name: str) -> GlossaryTerm | None:
         """Look up a term by its own name or any synonym."""
-        fold = (lambda s: s.lower()) if self.case_insensitive else (lambda s: s)
-        wanted = fold(name)
-        for term in self._terms.values():
-            if fold(term.term) == wanted:
-                return term
-            if any(fold(s) == wanted for s in term.synonyms):
-                return term
-        return None
+        if self.case_insensitive:
+            return self._by_folded.get(name.lower())
+        return self._by_name.get(name)
 
 
 def _word_bounded(text: str, start: int, end: int) -> bool:

@@ -53,8 +53,13 @@ from .trace import add_link, kdr_view
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
 
 _SLOT_KEYS = ("SR1", "SR2", "SR3", "SR4", "SR5")
-_SLOT_TEXT_KEYS = {f"sr{n}": f"SR{n}" for n in range(1, 6)}
-_SLOT_REF_KEYS = {f"sr{n}_ref": f"SR{n}" for n in range(1, 6)}
+# (text field, binding field, StructuredStatement field) per slot
+_SLOT_FIELD_KEYS = tuple((key.lower(), f"{key.lower()}_ref", SLOT_FIELDS[key])
+                         for key in _SLOT_KEYS)
+# block keys that are not attributes
+_REQUIREMENT_KEYS = frozenset({"name", "kind", "text", "pattern"}.union(
+    *((low, ref) for low, ref, _ in _SLOT_FIELD_KEYS)))
+_SET_KEYS = frozenset({"name", "kind", "members"})
 
 XMI_NS = "http://www.omg.org/spec/XMI/20131001"
 PROFILE = "Model_Based_Structured_Requirements_Profile"
@@ -82,28 +87,15 @@ def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _attribute_value(catalog: Catalog, key: str, raw: str, block: Block) -> AttributeValue:
-    attr_def = catalog.attributes.get(key)
-    if attr_def is None:
-        raise CorpusValidationError(
-            f"[{block.kind} {block.ident}] unknown attribute key {key!r}",
-            block.field_lines.get(key, block.line))
-    if attr_def.value_kind == ValueKind.ENUM:
-        return AttributeValue.enum(raw)
-    if attr_def.value_kind == ValueKind.ELEMENT_REF:
-        return AttributeValue.ref(raw)
+def _decode_attribute(attr_def: AttributeDef, raw: str) -> AttributeValue:
+    """Typed value of a stored attribute string; ValueError for a timestamp
+    that is not ISO-8601."""
     if attr_def.value_kind == ValueKind.TIMESTAMP:
-        try:
-            return AttributeValue.stamp(datetime.fromisoformat(raw))
-        except ValueError:
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] {key}: not an ISO-8601 timestamp: {raw!r}",
-                block.field_lines.get(key, block.line)) from None
-    return AttributeValue.text(raw)
+        return AttributeValue.stamp(datetime.fromisoformat(raw))
+    return AttributeValue(attr_def.value_kind, raw)
 
 
-def _is_attribute_key(key: str) -> bool:
-    return bool(re.match(r"^[AX][A-Za-z0-9]", key))
+_ATTRIBUTE_KEY_RE = re.compile(r"[AX][A-Za-z0-9]")
 
 
 def _load_element(model: Model, block: Block) -> None:
@@ -164,16 +156,16 @@ def _expression_kind(block: Block) -> ExpressionKind:
 def _statement_from_fields(block: Block) -> StructuredStatement | None:
     pattern = block.fields.get("pattern")
     slot_values: dict[str, SlotValue | None] = {}
-    for low, key in _SLOT_TEXT_KEYS.items():
+    for low, ref_key, field_name in _SLOT_FIELD_KEYS:
         text = block.fields.get(low)
-        ref = block.fields.get(f"{low}_ref")
+        ref = block.fields.get(ref_key)
         if text is None:
             if ref is not None:
                 raise CorpusValidationError(
-                    f"[{block.kind} {block.ident}] {low}_ref given without {low}",
-                    block.field_lines.get(f"{low}_ref", block.line))
+                    f"[{block.kind} {block.ident}] {ref_key} given without {low}",
+                    block.field_lines.get(ref_key, block.line))
             continue
-        slot_values[SLOT_FIELDS[key]] = SlotValue(text, ref)
+        slot_values[field_name] = SlotValue(text, ref)
     if pattern is None:
         if slot_values:
             raise CorpusValidationError(
@@ -186,17 +178,41 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
         raise _wrap(block, exc) from exc
 
 
-def _load_requirement(model: Model, block: Block) -> None:
-    reserved = {"name", "kind", "text", "pattern"}
+_Decoded = dict[tuple[str, str], AttributeValue]
+
+
+def _read_attributes(catalog: Catalog, block: Block, reserved: frozenset[str],
+                     decoded: _Decoded) -> dict[str, AttributeValue]:
+    """Attribute fields of a requirement or set block; any other key must be
+    reserved. decoded memoizes values per (key, raw string) over one load,
+    since most attribute values repeat; the model still validates each one."""
     attributes: dict[str, AttributeValue] = {}
     for key, raw in block.fields.items():
-        if key in reserved or key in _SLOT_TEXT_KEYS or key in _SLOT_REF_KEYS:
+        if key in reserved:
             continue
-        if not _is_attribute_key(key):
+        if not _ATTRIBUTE_KEY_RE.match(key):
             raise CorpusValidationError(
-                f"[requirement {block.ident}] unknown key {key!r}",
+                f"[{block.kind} {block.ident}] unknown key {key!r}",
                 block.field_lines.get(key, block.line))
-        attributes[key] = _attribute_value(model.catalog, key, raw, block)
+        value = decoded.get((key, raw))
+        if value is None:
+            attr_def = catalog.attributes.get(key)
+            if attr_def is None:
+                raise CorpusValidationError(
+                    f"[{block.kind} {block.ident}] unknown attribute key {key!r}",
+                    block.field_lines.get(key, block.line))
+            try:
+                value = decoded[key, raw] = _decode_attribute(attr_def, raw)
+            except ValueError:
+                raise CorpusValidationError(
+                    f"[{block.kind} {block.ident}] {key}: not an ISO-8601 timestamp: {raw!r}",
+                    block.field_lines.get(key, block.line)) from None
+        attributes[key] = value
+    return attributes
+
+
+def _load_requirement(model: Model, block: Block, decoded: _Decoded) -> None:
+    attributes = _read_attributes(model.catalog, block, _REQUIREMENT_KEYS, decoded)
     expr = RequirementExpression(
         id=block.ident,
         name=block.fields.get("name", block.ident),
@@ -211,21 +227,11 @@ def _load_requirement(model: Model, block: Block) -> None:
         raise _wrap(block, exc) from exc
 
 
-def _load_set_shell(model: Model, block: Block) -> None:
-    reserved = {"name", "kind", "members"}
-    attributes: dict[str, AttributeValue] = {}
-    for key, raw in block.fields.items():
-        if key in reserved:
-            continue
-        if not _is_attribute_key(key):
-            raise CorpusValidationError(
-                f"[set {block.ident}] unknown key {key!r}",
-                block.field_lines.get(key, block.line))
-        attributes[key] = _attribute_value(model.catalog, key, raw, block)
+def _load_set_shell(model: Model, block: Block, decoded: _Decoded) -> None:
     rset = RequirementSet(
         id=block.ident,
         name=block.fields.get("name", block.ident),
-        attributes=attributes,
+        attributes=_read_attributes(model.catalog, block, _SET_KEYS, decoded),
         kind=_expression_kind(block),
     )
     try:
@@ -284,10 +290,11 @@ def loads_corpus(text: str, catalog: Catalog | None = None,
         _load_element(model, block)
     for block in by_kind["term"]:
         _load_term(model, block)
+    decoded: _Decoded = {}
     for block in by_kind["requirement"]:
-        _load_requirement(model, block)
+        _load_requirement(model, block, decoded)
     for block in by_kind["set"]:
-        _load_set_shell(model, block)
+        _load_set_shell(model, block, decoded)
     for block in by_kind["set"]:
         _fill_set(model, block)
     for block in by_kind["link"]:
@@ -511,20 +518,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
             key = reverse_attr.get(name)
             if key is None:
                 raise CorpusValidationError(f"unknown profile attribute {name!r}")
-            attr_def = model.catalog.attributes[key]
-            if attr_def.value_kind == ValueKind.ENUM:
-                out[key] = AttributeValue.enum(raw)
-            elif attr_def.value_kind == ValueKind.ELEMENT_REF:
-                out[key] = AttributeValue.ref(raw)
-            elif attr_def.value_kind == ValueKind.TIMESTAMP:
-                try:
-                    out[key] = AttributeValue.stamp(datetime.fromisoformat(raw))
-                except ValueError:
-                    raise CorpusValidationError(
-                        f"{entry.get('Id')!r}: {name} is not an ISO-8601 "
-                        f"timestamp: {raw!r}") from None
-            else:
-                out[key] = AttributeValue.text(raw)
+            try:
+                out[key] = _decode_attribute(model.catalog.attributes[key], raw)
+            except ValueError:
+                raise CorpusValidationError(
+                    f"{entry.get('Id')!r}: {name} is not an ISO-8601 "
+                    f"timestamp: {raw!r}") from None
         return out
 
     set_entries = []
@@ -549,7 +548,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 bindings[key] = public_of[ref]
         statement = None
         if bindings:
-            parsed, _ = parse_statement(text_value, None, model.catalog)
+            try:
+                parsed, _ = parse_statement(text_value, None, model.catalog)
+            except MbsrError as exc:
+                raise CorpusValidationError(
+                    f"{public}: slot references given but the text does not parse: "
+                    f"{type(exc).__name__}: {exc}") from exc
             slot_values: dict[str, SlotValue | None] = {}
             for key, field_name in SLOT_FIELDS.items():
                 slot = parsed.slot(key)
@@ -568,7 +572,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
             id=entry.get("Id", ""), name=entry.get("Name", entry.get("Id", "")),
             attributes=_read_attrs(entry), kind=kind))
     for entry, _ in set_entries:
-        members = [public_of[m] for m in entry.get("Members", "").split() if m]
+        members = []
+        for ref in entry.get("Members", "").split():
+            if ref not in public_of:
+                raise CorpusValidationError(
+                    f"{entry.get('Id')}: member reference {ref!r} does not resolve")
+            members.append(public_of[ref])
         if members:
             model.set_members(entry.get("Id", ""), members, touch=False)
     return model

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import Callable
 
 from .catalog import TBX_ID, Applicability, Automation, Catalog, RuleDef, ValueKind
 from .errors import MbsrError, NoShallKeywordError
@@ -32,6 +33,7 @@ from .textscan import Token, tokenize
 _BE_VERBS = frozenset({"be", "is", "are", "was", "were", "been"})
 TBX_RE = re.compile(r"\bTB[CDRN]\b")
 _SHALL_NOT_RE = re.compile(r"\bshall\s+not\b", re.IGNORECASE)
+_VERDICT_LINK_KINDS = (LinkKind.SATISFY, LinkKind.VIOLATE)
 _PARTICIPLE_WINDOW = 3
 _AGENT_WINDOW = 3
 
@@ -55,6 +57,7 @@ class RuleFinding:
 
 
 _Outcome = tuple[Verdict, str, tuple[int, int] | None]
+_NO_PASSIVE: _Outcome = (Verdict.SATISFY, "no passive construction found", None)
 
 
 def _check_r1(text: str, tokens: list[Token], lower: list[str],
@@ -75,6 +78,8 @@ def _check_r1(text: str, tokens: list[Token], lower: list[str],
 
 def _check_r2(text: str, tokens: list[Token], lower: list[str],
               catalog: Catalog, rule: RuleDef) -> _Outcome:
+    if _BE_VERBS.isdisjoint(lower):
+        return _NO_PASSIVE
     irregular = _word_set(rule.params.get("participles", ()))
     for i, word in enumerate(lower):
         if word not in _BE_VERBS:
@@ -88,7 +93,7 @@ def _check_r2(text: str, tokens: list[Token], lower: list[str],
                     phrase = text[tokens[i].start:tokens[k].end]
                     return (Verdict.VIOLATE, f"passive construction {phrase!r}",
                             (tokens[i].start, tokens[k].end))
-    return Verdict.SATISFY, "no passive construction found", None
+    return _NO_PASSIVE
 
 
 @cache
@@ -124,18 +129,27 @@ _CHECKERS = {
 }
 
 
-def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[RuleFinding]:
-    """Findings for one statement text: enabled automated rules, then TBX."""
-    tokens = tokenize(text)
-    lower = [t.text.lower() for t in tokens]
-    findings: list[RuleFinding] = []
+_Checks = list[tuple[str, Callable[..., _Outcome], RuleDef]]
+
+
+def _enabled_checks(catalog: Catalog) -> _Checks:
+    """(rule id, checker, rule) for each enabled automated rule, in run order."""
+    out: _Checks = []
     for rule_id, checker in _CHECKERS.items():
         rule = catalog.rules[rule_id]
-        if rule.automation != Automation.AUTOMATED or not rule.enabled:
-            continue
-        verdict, message, span = checker(text, tokens, lower, catalog, rule)
-        findings.append(RuleFinding(rule_id, expression_id, verdict, message, span))
-    match = TBX_RE.search(text)
+        if rule.automation == Automation.AUTOMATED and rule.enabled:
+            out.append((rule_id, checker, rule))
+    return out
+
+
+def _check(text: str, catalog: Catalog, expression_id: str,
+           checks: _Checks) -> list[RuleFinding]:
+    tokens = tokenize(text)
+    lower = [t.text.lower() for t in tokens]
+    findings = [RuleFinding(rule_id, expression_id,
+                            *checker(text, tokens, lower, catalog, rule))
+                for rule_id, checker, rule in checks]
+    match = TBX_RE.search(text) if "TB" in text else None
     if match:
         findings.append(RuleFinding(TBX_ID, expression_id, Verdict.VIOLATE,
                                     f"unresolved placeholder {match.group(0)!r}",
@@ -146,18 +160,22 @@ def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[Rul
     return findings
 
 
-def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFinding]:
-    """Findings for a stored requirement; TBX also scans text attributes."""
-    findings = check_text(expr.text, model.catalog, expr.id)
-    tbx_index = next(i for i, f in enumerate(findings) if f.rule_id == TBX_ID)
-    if findings[tbx_index].verdict is Verdict.SATISFY:
+def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[RuleFinding]:
+    """Findings for one statement text: enabled automated rules, then TBX."""
+    return _check(text, catalog, expression_id, _enabled_checks(catalog))
+
+
+def _check_expression(model: Model, expr: RequirementExpression,
+                      checks: _Checks) -> list[RuleFinding]:
+    findings = _check(expr.text, model.catalog, expr.id, checks)
+    if findings[-1].verdict is Verdict.SATISFY:  # TBX comes last
         for key in sorted(expr.attributes):
             value = expr.attributes[key]
             if value.kind != ValueKind.TEXT:
                 continue
             match = TBX_RE.search(str(value.value))
             if match:
-                findings[tbx_index] = RuleFinding(
+                findings[-1] = RuleFinding(
                     TBX_ID, expr.id, Verdict.VIOLATE,
                     f"unresolved placeholder {match.group(0)!r} in attribute {key}",
                     None)
@@ -165,14 +183,20 @@ def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFind
     return findings
 
 
+def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFinding]:
+    """Findings for a stored requirement; TBX also scans text attributes."""
+    return _check_expression(model, expr, _enabled_checks(model.catalog))
+
+
 def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
     """Findings for every non-set requirement in scope, in id order."""
+    checks = _enabled_checks(model.catalog)
     findings: list[RuleFinding] = []
     exprs = model.scope_expressions(scope_id)
     for expr in sorted(exprs, key=lambda e: e.id):
         if expr.is_set or expr.kind != ExpressionKind.REQUIREMENT:
             continue
-        findings.extend(check_expression(model, expr))
+        findings.extend(_check_expression(model, expr, checks))
     return findings
 
 
@@ -221,25 +245,31 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
             continue
         by_expr.setdefault(finding.expression_id, {})[finding.rule_id] = finding.verdict
 
-    contributors = _contributors(model.catalog)
+    catalog = model.catalog
+    contributors = _contributors(catalog)
+    graph_nodes = {TBX_ID, *catalog.rules, *catalog.characteristics}
+    # node id -> wanted link kind, per distinct verdict set; few distinct sets occur
+    wanted: dict[tuple, dict[str, LinkKind]] = {}
     changed = 0
     for expr_id in sorted(by_expr):
-        desired = dict(by_expr[expr_id])
-        rule_only = {k: v for k, v in desired.items() if k in model.catalog.rules}
-        desired.update(_rollup(contributors, rule_only))
+        verdicts = by_expr[expr_id]
+        key = tuple(verdicts.items())
+        if key not in wanted:
+            rule_only = {k: v for k, v in verdicts.items() if k in catalog.rules}
+            merged = {**verdicts, **_rollup(contributors, rule_only)}
+            wanted[key] = {node_id: v.link_kind for node_id, v in merged.items()}
+        desired = dict(wanted[key])
 
-        existing = [link for link in model.links_from(expr_id)
-                    if link.kind in (LinkKind.SATISFY, LinkKind.VIOLATE)
-                    and model.catalog.is_graph_node(link.target_id)]
-        for link in existing:
-            want = desired.get(link.target_id)
-            if want is not None and want.link_kind == link.kind:
+        for link in model.links_from(expr_id):
+            if link.kind not in _VERDICT_LINK_KINDS or link.target_id not in graph_nodes:
+                continue
+            if desired.get(link.target_id) is link.kind:
                 del desired[link.target_id]
             else:
                 model.remove_link(link.link_id)
                 changed += 1
         for node_id in sorted(desired):
-            model.store_link(TraceLink(model.next_link_id(), desired[node_id].link_kind,
+            model.store_link(TraceLink(model.next_link_id(), desired[node_id],
                                        expr_id, node_id))
             changed += 1
     return changed

@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 _TOKEN_RE = re.compile(r"\S+")
 _TRAILING_PUNCT = ".,;:!?"
+# Token(...) goes through a Python-level __new__; tuple.__new__ builds the same
+# Token without that call, and tokenize runs on every checked text
+_new_token = tuple.__new__
 
 
 class Token(NamedTuple):
@@ -23,9 +26,8 @@ class Token(NamedTuple):
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
-        raw = m.group(0)
-        stripped = raw.rstrip(_TRAILING_PUNCT)
-        if not stripped:
-            continue
-        tokens.append(Token(stripped, m.start(), m.start() + len(stripped), m.end()))
+        stripped = m[0].rstrip(_TRAILING_PUNCT)
+        if stripped:
+            start = m.start()
+            tokens.append(_new_token(Token, (stripped, start, start + len(stripped), m.end())))
     return tokens

@@ -1,5 +1,8 @@
 """Block-file tokenizer: headers, key/value fields, fenced text, comments."""
 
+import random
+import re
+
 import pytest
 
 from mbsr.blockfile import Block, parse_blocks, render_blocks
@@ -101,3 +104,114 @@ def test_render_rejects_fence_terminator_in_value():
     block = Block("requirement", "r", 1, {"A01": "a\n>>>\nb"})
     with pytest.raises(CorpusValidationError):
         render_blocks([block])
+
+
+# --- seeded equivalence with the reference reader ---
+
+_REFERENCE_HEADER = re.compile(r"^\[([a-z]+) ([^\]\s]+)\]$")
+
+
+def reference_parse_blocks(text):
+    """The reader as first written; parse_blocks must agree with it on every
+    input, errors included."""
+    blocks = []
+    current = None
+    fence_key = None
+    fence_lines = []
+    fence_start = 0
+
+    lines = text.split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw[:-1] if raw.endswith("\r") else raw
+
+        if fence_key is not None:
+            if line == ">>>":
+                current.fields[fence_key] = "\n".join(fence_lines)
+                current.field_lines[fence_key] = fence_start
+                fence_key = None
+                fence_lines = []
+            else:
+                fence_lines.append(line)
+            continue
+
+        stripped = line.strip()
+        if not stripped:
+            current = None
+            continue
+        if stripped.startswith("#"):
+            continue
+
+        if stripped.startswith("["):
+            m = _REFERENCE_HEADER.match(stripped)
+            if not m:
+                raise CorpusSyntaxError(f"malformed block header: {stripped!r}", lineno)
+            if current is not None:
+                raise CorpusSyntaxError("block header without preceding blank line", lineno)
+            current = Block(kind=m.group(1), ident=m.group(2), line=lineno)
+            blocks.append(current)
+            continue
+
+        if current is None:
+            raise CorpusSyntaxError(f"body line outside any block: {stripped!r}", lineno)
+        if "=" not in line:
+            raise CorpusSyntaxError(f"expected 'key = value': {stripped!r}", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise CorpusSyntaxError("empty key", lineno)
+        if key in current.fields:
+            raise CorpusSyntaxError(f"duplicate key {key!r} in block [{current.kind} {current.ident}]", lineno)
+        if value == "<<<":
+            fence_key = key
+            fence_start = lineno
+            fence_lines = []
+        else:
+            current.fields[key] = value
+            current.field_lines[key] = lineno
+    if fence_key is not None:
+        raise CorpusSyntaxError(f"unterminated fence for key {fence_key!r}", fence_start)
+    return blocks
+
+
+_HEADERS = ("[element a]", "[requirement R-1]", "[set S]", " [term t] ")
+_BAD_HEADERS = ("[Element a]", "[element]", "[x y z]", "[ bad")
+_FIELDS = ("name = A", "name = B", "text = The A shall run.", " key=value ", "a = b = c",
+           "name =", "k = v\r", "= empty key", "novalue", "A01 = <<<", "x = <<< ")
+_NOISE = ("", " ", "\t", "# note", "  # indented note", "<<<", ">>>", " >>>", "\r",
+          "line one", "# [element a]") + _HEADERS + _BAD_HEADERS + _FIELDS
+
+
+def _block_text(rng):
+    """Mostly well-formed blocks, with fences, plus a few lines anywhere."""
+    lines = []
+    for _ in range(rng.randrange(0, 5)):
+        if rng.random() < 0.3:
+            lines.append("# note")
+        lines.append(rng.choice(_HEADERS))
+        for _ in range(rng.randrange(0, 5)):
+            lines.append(rng.choice(_FIELDS))
+            if lines[-1].rstrip().endswith("<<<"):
+                lines += [rng.choice(_NOISE) for _ in range(rng.randrange(0, 3))]
+                if rng.random() < 0.9:
+                    lines.append(">>>")
+        lines.append(rng.choice(("", " ", "\t")))
+    for _ in range(rng.randrange(0, 3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_NOISE))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+def _outcome(parse, text):
+    try:
+        return [(b.kind, b.ident, b.line, b.fields, b.field_lines) for b in parse(text)]
+    except CorpusSyntaxError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@pytest.mark.parametrize("seed", [5, 23, 2026])
+def test_parse_blocks_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(2000):
+        text = _block_text(rng)
+        assert _outcome(parse_blocks, text) == _outcome(reference_parse_blocks, text), \
+            repr(text)

@@ -1,6 +1,7 @@
 """Glossary terms, annotation spans, undefined-token detection, allocations."""
 
 import json
+import random
 
 import pytest
 
@@ -63,6 +64,78 @@ def test_case_insensitive_resolution():
     strict = Glossary()
     strict.add_term(GlossaryTerm("Spacecraft"))
     assert strict.resolve("SPACECRAFT") is None
+
+
+class ScanGlossary:
+    """Term storage and lookup as first written, by a scan over every term;
+    Glossary must add, reject and resolve exactly as it does."""
+
+    def __init__(self, case_insensitive):
+        self.case_insensitive = case_insensitive
+        self._terms = {}
+
+    def add_term(self, term):
+        names = {term.term, *term.synonyms}
+        for existing in self._terms.values():
+            taken = {existing.term, *existing.synonyms}
+            clash = names & taken
+            if clash:
+                raise DuplicateIdError(
+                    f"glossary name(s) {sorted(clash)} already used by term {existing.term!r}")
+        if len(names) != 1 + len(term.synonyms):
+            raise DuplicateIdError(f"term {term.term!r} collides with its own synonyms")
+        self._terms[term.term] = term
+
+    def resolve(self, name):
+        fold = (lambda s: s.lower()) if self.case_insensitive else (lambda s: s)
+        wanted = fold(name)
+        for term in self._terms.values():
+            if fold(term.term) == wanted:
+                return term
+            if any(fold(s) == wanted for s in term.synonyms):
+                return term
+        return None
+
+
+# few letters in mixed case, so names often collide once lower-cased
+_NAME_PARTS = ("a", "A", "b", "B", "_", "\u0130")
+
+
+@pytest.mark.parametrize("case_insensitive", [False, True])
+@pytest.mark.parametrize("seed", [2, 31])
+def test_resolve_matches_a_scan_of_every_term(seed, case_insensitive):
+    rng = random.Random(seed)
+
+    def name():
+        return "".join(rng.choice(_NAME_PARTS) for _ in range(rng.randrange(1, 4)))
+
+    for _ in range(40):
+        glossary = Glossary(case_insensitive=case_insensitive)
+        reference = ScanGlossary(case_insensitive)
+        for _ in range(rng.randrange(1, 12)):
+            term = GlossaryTerm(name(), synonyms=tuple(name() for _ in range(rng.randrange(3))))
+            outcomes = []
+            for target in (glossary, reference):
+                try:
+                    target.add_term(term)
+                    outcomes.append(None)
+                except DuplicateIdError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        assert len(glossary) == len(reference._terms)
+        for _ in range(30):
+            query = name()
+            assert glossary.resolve(query) is reference.resolve(query), query
+
+
+def test_case_insensitive_collision_resolves_to_the_first_term():
+    glossary = Glossary(case_insensitive=True)
+    glossary.add_term(GlossaryTerm("Rover", synonyms=("RV",)))
+    glossary.add_term(GlossaryTerm("rover"))
+    glossary.add_term(GlossaryTerm("Lander", synonyms=("rv",)))
+    assert glossary.resolve("ROVER").term == "Rover"
+    assert glossary.resolve("rover").term == "Rover"
+    assert glossary.resolve("rv").term == "Rover"
 
 
 def test_annotate_spans_match_text():

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import mbsr.cli
+import mbsr.rules
 from mbsr.cli import main
 
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -92,6 +94,22 @@ def test_golden_cases_match_the_case_table(expected):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, expected):
+    code, out, err = run_case(case)
+    assert code == expected[case]["exit"]
+    assert err == expected[case]["stderr"]
+    assert out.encode("utf-8") == _stdout_path(case).read_bytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(_PARSE_IDS))
+def test_lint_output_needs_no_verdict_links(fixture, expected, monkeypatch):
+    """lint reports from its findings alone: with apply_verdicts failing, the
+    output is still the golden one."""
+    def refuse(model, findings):
+        raise AssertionError("lint applied verdicts")
+
+    monkeypatch.setattr(mbsr.cli, "apply_verdicts", refuse)
+    monkeypatch.setattr(mbsr.rules, "apply_verdicts", refuse)
+    case = f"{fixture}/lint"
     code, out, err = run_case(case)
     assert code == expected[case]["exit"]
     assert err == expected[case]["stderr"]

@@ -270,6 +270,22 @@ def test_xmi_import_rejects_bad_timestamp(catalog):
         import_xmi(xmi.replace(stamp, "not-a-date"), catalog)
 
 
+def test_xmi_import_rejects_unresolved_member_ref(tracechain_model, catalog):
+    xmi = export_xmi(tracechain_model)
+    member = internal_id(tracechain_model, "L3-A")
+    assert f"Members='{member}" in xmi
+    with pytest.raises(CorpusValidationError, match=r"SET-ALL: member reference 'NOPE'"):
+        import_xmi(xmi.replace(f"Members='{member}", "Members='NOPE", 1), catalog)
+
+
+def test_xmi_import_names_the_entry_whose_bound_text_does_not_parse(asteroid_model, catalog):
+    xmi = export_xmi(asteroid_model)
+    text = asteroid_model.expression("L3-EX.1").text
+    assert f"Text='{text}'" in xmi and "SR2_Subject=" in xmi
+    with pytest.raises(CorpusValidationError, match=r"L3-EX\.1: .*NoShallKeywordError"):
+        import_xmi(xmi.replace(text, "The thing does a thing", 1), catalog)
+
+
 def test_mangled_attribute_name_rules(catalog):
     a01 = catalog.attributes["A01"]
     assert mangled_attribute_name(a01) == "A01_Rationale_Statement_"

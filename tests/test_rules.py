@@ -191,6 +191,70 @@ def test_verdict_links_are_exclusive_per_node(catalog):
     assert all(count == 1 for count in seen.values())
 
 
+def reference_apply_verdicts(model, findings):
+    """apply_verdicts as first written; the current one must return the same
+    counts and leave the same links, ids included."""
+    from mbsr.model import TraceLink
+    from mbsr.rules import _contributors, _rollup
+
+    by_expr = {}
+    for finding in findings:
+        if not finding.expression_id:
+            continue
+        by_expr.setdefault(finding.expression_id, {})[finding.rule_id] = finding.verdict
+
+    contributors = _contributors(model.catalog)
+    changed = 0
+    for expr_id in sorted(by_expr):
+        desired = dict(by_expr[expr_id])
+        rule_only = {k: v for k, v in desired.items() if k in model.catalog.rules}
+        desired.update(_rollup(contributors, rule_only))
+
+        existing = [link for link in model.links_from(expr_id)
+                    if link.kind in (LinkKind.SATISFY, LinkKind.VIOLATE)
+                    and model.catalog.is_graph_node(link.target_id)]
+        for link in existing:
+            want = desired.get(link.target_id)
+            if want is not None and want.link_kind == link.kind:
+                del desired[link.target_id]
+            else:
+                model.remove_link(link.link_id)
+                changed += 1
+        for node_id in sorted(desired):
+            model.store_link(TraceLink(model.next_link_id(), desired[node_id].link_kind,
+                                       expr_id, node_id))
+            changed += 1
+    return changed
+
+
+@pytest.mark.parametrize("seed", [8, 77, 2026])
+def test_apply_verdicts_matches_reference(seed, catalog):
+    """Random findings (partial rule sets, characteristic ids, no expression
+    id) and stray verdict or other links between applies."""
+    from mbsr.model import TraceLink
+    from mbsr.rules import RuleFinding
+
+    rng = random.Random(seed)
+    nodes = ["R1", "R2", "R10", "R16", TBX_ID, "C3", "C4", "R5"]
+    models = [Model(catalog=catalog, clock=fixed_clock) for _ in range(2)]
+    for model in models:
+        for n in range(6):
+            model.add_expression(RequirementExpression(f"Q-{n}", text="The Q shall run."))
+    ids = [f"Q-{n}" for n in range(6)] + [""]
+    for _ in range(80):
+        if rng.random() < 0.3:
+            source, target = rng.choice(ids[:-1]), rng.choice(nodes)
+            kind = rng.choice((LinkKind.SATISFY, LinkKind.VIOLATE, LinkKind.VERIFY))
+            for model in models:
+                model.store_link(TraceLink(model.next_link_id(), kind, source, target))
+        findings = [RuleFinding(rng.choice(nodes), rng.choice(ids),
+                                rng.choice((Verdict.SATISFY, Verdict.VIOLATE)), "m")
+                    for _ in range(rng.randrange(0, 25))]
+        assert apply_verdicts(models[0], findings) == \
+            reference_apply_verdicts(models[1], findings)
+        assert models[0].links() == models[1].links()
+
+
 def test_rollup_requires_all_contributors_clean(catalog):
     auto = {"R1", "R2", "R10", "R16"}
     verdicts = {rid: Verdict.SATISFY for rid in auto}
