@@ -178,14 +178,10 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
         raise _wrap(block, exc) from exc
 
 
-_Decoded = dict[tuple[str, str], AttributeValue]
-
-
-def _read_attributes(catalog: Catalog, block: Block, reserved: frozenset[str],
-                     decoded: _Decoded) -> dict[str, AttributeValue]:
+def _read_attributes(catalog: Catalog, block: Block,
+                     reserved: frozenset[str]) -> dict[str, AttributeValue]:
     """Attribute fields of a requirement or set block; any other key must be
-    reserved. decoded memoizes values per (key, raw string) over one load,
-    since most attribute values repeat; the model still validates each one."""
+    reserved."""
     attributes: dict[str, AttributeValue] = {}
     for key, raw in block.fields.items():
         if key in reserved:
@@ -194,25 +190,22 @@ def _read_attributes(catalog: Catalog, block: Block, reserved: frozenset[str],
             raise CorpusValidationError(
                 f"[{block.kind} {block.ident}] unknown key {key!r}",
                 block.field_lines.get(key, block.line))
-        value = decoded.get((key, raw))
-        if value is None:
-            attr_def = catalog.attributes.get(key)
-            if attr_def is None:
-                raise CorpusValidationError(
-                    f"[{block.kind} {block.ident}] unknown attribute key {key!r}",
-                    block.field_lines.get(key, block.line))
-            try:
-                value = decoded[key, raw] = _decode_attribute(attr_def, raw)
-            except ValueError:
-                raise CorpusValidationError(
-                    f"[{block.kind} {block.ident}] {key}: not an ISO-8601 timestamp: {raw!r}",
-                    block.field_lines.get(key, block.line)) from None
-        attributes[key] = value
+        attr_def = catalog.attributes.get(key)
+        if attr_def is None:
+            raise CorpusValidationError(
+                f"[{block.kind} {block.ident}] unknown attribute key {key!r}",
+                block.field_lines.get(key, block.line))
+        try:
+            attributes[key] = _decode_attribute(attr_def, raw)
+        except ValueError:
+            raise CorpusValidationError(
+                f"[{block.kind} {block.ident}] {key}: not an ISO-8601 timestamp: {raw!r}",
+                block.field_lines.get(key, block.line)) from None
     return attributes
 
 
-def _load_requirement(model: Model, block: Block, decoded: _Decoded) -> None:
-    attributes = _read_attributes(model.catalog, block, _REQUIREMENT_KEYS, decoded)
+def _load_requirement(model: Model, block: Block) -> None:
+    attributes = _read_attributes(model.catalog, block, _REQUIREMENT_KEYS)
     expr = RequirementExpression(
         id=block.ident,
         name=block.fields.get("name", block.ident),
@@ -227,11 +220,11 @@ def _load_requirement(model: Model, block: Block, decoded: _Decoded) -> None:
         raise _wrap(block, exc) from exc
 
 
-def _load_set_shell(model: Model, block: Block, decoded: _Decoded) -> None:
+def _load_set_shell(model: Model, block: Block) -> None:
     rset = RequirementSet(
         id=block.ident,
         name=block.fields.get("name", block.ident),
-        attributes=_read_attributes(model.catalog, block, _SET_KEYS, decoded),
+        attributes=_read_attributes(model.catalog, block, _SET_KEYS),
         kind=_expression_kind(block),
     )
     try:
@@ -290,11 +283,10 @@ def loads_corpus(text: str, catalog: Catalog | None = None,
         _load_element(model, block)
     for block in by_kind["term"]:
         _load_term(model, block)
-    decoded: _Decoded = {}
     for block in by_kind["requirement"]:
-        _load_requirement(model, block, decoded)
+        _load_requirement(model, block)
     for block in by_kind["set"]:
-        _load_set_shell(model, block, decoded)
+        _load_set_shell(model, block)
     for block in by_kind["set"]:
         _fill_set(model, block)
     for block in by_kind["link"]:
