@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .blockfile import Block, parse_blocks
 from .errors import CatalogParseError, InvariantViolationError
@@ -23,6 +24,20 @@ AUTOMATED_RULE_IDS = frozenset({"R1", "R2", "R10", "R16"})
 TBX_ID = "TBX"
 
 SLOT_KEYS = ("SR1", "SR2", "SR3", "SR4", "SR5")
+
+
+class PatternShape(NamedTuple):
+    slot_order: tuple[str, ...]  # every slot is mandatory; no other slot is allowed
+    template: str                # renders the slots back to statement text
+
+
+# The one definition of each statement pattern's slots and their rendering.
+PATTERNS: dict[str, PatternShape] = {
+    "Iso1": PatternShape(("SR2", "SR3", "SR5"), "The {SR2} shall {SR3} {SR5}."),
+    "Iso2": PatternShape(SLOT_KEYS, "{SR1}, the {SR2} shall {SR3} {SR4} {SR5}."),
+    "Carson": PatternShape(("SR2", "SR3", "SR5", "SR1"),
+                           "The {SR2} shall {SR3} {SR5} under {SR1}."),
+}
 
 _X_KEY_RE = re.compile(r"^X[A-Za-z0-9]+$")
 
@@ -198,26 +213,16 @@ def _default_attributes() -> dict[str, AttributeDef]:
     return attrs
 
 
-def _default_patterns() -> dict[str, PatternDef]:
-    return {
-        "Iso1": PatternDef("Iso1", ("SR2", "SR3", "SR5"),
-                           {"SR5": CONSTRAINT_MARKERS}),
-        "Iso2": PatternDef("Iso2", ("SR1", "SR2", "SR3", "SR4", "SR5"),
-                           {"SR1": CONDITION_MARKERS, "SR5": CONSTRAINT_MARKERS}),
-        "Carson": PatternDef("Carson", ("SR2", "SR3", "SR5", "SR1"),
-                             {"SR1": ("under",), "SR5": CONSTRAINT_MARKERS}),
-    }
+# pattern id -> slot key -> default connective words
+_PATTERN_MARKERS: dict[str, dict[str, tuple[str, ...]]] = {
+    "Iso1": {"SR5": CONSTRAINT_MARKERS},
+    "Iso2": {"SR1": CONDITION_MARKERS, "SR5": CONSTRAINT_MARKERS},
+    "Carson": {"SR1": ("under",), "SR5": CONSTRAINT_MARKERS},
+}
 
 
 def default_catalog() -> Catalog:
-    catalog = Catalog(
-        rules=_default_rules(),
-        characteristics={row[0]: CharacteristicDef(*row) for row in _CHARACTERISTIC_ROWS},
-        attributes=_default_attributes(),
-        patterns=_default_patterns(),
-    )
-    validate_catalog(catalog)
-    return catalog
+    return load_catalog()
 
 
 def validate_catalog(catalog: Catalog) -> None:
@@ -258,16 +263,11 @@ def validate_catalog(catalog: Catalog) -> None:
         if has_values != (attr.value_kind == ValueKind.ENUM):
             raise InvariantViolationError(f"{key}: value_set must be non-empty iff value_kind is Enum")
 
-    expected_orders = {
-        "Iso1": ("SR2", "SR3", "SR5"),
-        "Iso2": ("SR1", "SR2", "SR3", "SR4", "SR5"),
-        "Carson": ("SR2", "SR3", "SR5", "SR1"),
-    }
-    if set(catalog.patterns) != set(expected_orders):
+    if set(catalog.patterns) != set(PATTERNS):
         raise InvariantViolationError("pattern registry must hold exactly Iso1, Iso2, Carson")
     for pid, pattern in catalog.patterns.items():
-        if pattern.slot_order != expected_orders[pid]:
-            raise InvariantViolationError(f"{pid}: slot order is fixed to {expected_orders[pid]}")
+        if pattern.slot_order != PATTERNS[pid].slot_order:
+            raise InvariantViolationError(f"{pid}: slot order is fixed to {PATTERNS[pid].slot_order}")
         if not pattern.connective_words.get("SR5"):
             raise InvariantViolationError(f"{pid}: constraint marker lexicon must be non-empty")
     if not catalog.patterns["Iso2"].connective_words.get("SR1"):
@@ -401,7 +401,8 @@ def load_catalog(config_path: str | Path | None = None) -> Catalog:
         rules=_default_rules(),
         characteristics={row[0]: CharacteristicDef(*row) for row in _CHARACTERISTIC_ROWS},
         attributes=_default_attributes(),
-        patterns=_default_patterns(),
+        patterns={pid: PatternDef(pid, shape.slot_order, dict(_PATTERN_MARKERS[pid]))
+                  for pid, shape in PATTERNS.items()},
     )
     if config_path is not None:
         text = Path(config_path).read_text(encoding="utf-8")

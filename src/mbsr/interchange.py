@@ -16,13 +16,14 @@ import csv
 import io
 import re
 import uuid
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 from xml.etree import ElementTree
 
 from .blockfile import Block, parse_blocks, render_blocks
-from .catalog import TBX_ID, AttributeDef, Automation, Catalog, ValueKind
+from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Automation, Catalog, ValueKind
 from .errors import (
     CorpusValidationError,
     InvariantViolationError,
@@ -34,7 +35,6 @@ from .glossary import GlossaryTerm, annotate
 from .metrics import compute_slot_completeness
 from .model import (
     FIXED_EPOCH,
-    SLOT_FIELDS,
     AttributeValue,
     ElementKind,
     ExpressionKind,
@@ -52,13 +52,11 @@ from .trace import add_link, kdr_view
 
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
 
-_SLOT_KEYS = ("SR1", "SR2", "SR3", "SR4", "SR5")
-# (text field, binding field, StructuredStatement field) per slot
-_SLOT_FIELD_KEYS = tuple((key.lower(), f"{key.lower()}_ref", SLOT_FIELDS[key])
-                         for key in _SLOT_KEYS)
+# (slot key, text field, binding field) per slot
+_SLOT_FIELD_KEYS = tuple((key, key.lower(), f"{key.lower()}_ref") for key in SLOT_KEYS)
 # block keys that are not attributes
 _REQUIREMENT_KEYS = frozenset({"name", "kind", "text", "pattern"}.union(
-    *((low, ref) for low, ref, _ in _SLOT_FIELD_KEYS)))
+    *((low, ref) for _, low, ref in _SLOT_FIELD_KEYS)))
 _SET_KEYS = frozenset({"name", "kind", "members"})
 
 XMI_NS = "http://www.omg.org/spec/XMI/20131001"
@@ -155,8 +153,8 @@ def _expression_kind(block: Block) -> ExpressionKind:
 
 def _statement_from_fields(block: Block) -> StructuredStatement | None:
     pattern = block.fields.get("pattern")
-    slot_values: dict[str, SlotValue | None] = {}
-    for low, ref_key, field_name in _SLOT_FIELD_KEYS:
+    slot_values: dict[str, SlotValue] = {}
+    for key, low, ref_key in _SLOT_FIELD_KEYS:
         text = block.fields.get(low)
         ref = block.fields.get(ref_key)
         if text is None:
@@ -165,7 +163,7 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
                     f"[{block.kind} {block.ident}] {ref_key} given without {low}",
                     block.field_lines.get(ref_key, block.line))
             continue
-        slot_values[field_name] = SlotValue(text, ref)
+        slot_values[key] = SlotValue(text, ref)
     if pattern is None:
         if slot_values:
             raise CorpusValidationError(
@@ -173,7 +171,7 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
                 block.line)
         return None
     try:
-        return StructuredStatement(pattern=pattern, **slot_values)
+        return StructuredStatement(pattern, slot_values)
     except MbsrError as exc:
         raise _wrap(block, exc) from exc
 
@@ -309,7 +307,7 @@ def _slot_fields_of(expr: RequirementExpression, fields: dict[str, str]) -> None
     if statement is None:
         return
     fields["pattern"] = statement.pattern
-    for key in _SLOT_KEYS:
+    for key in SLOT_KEYS:
         slot = statement.slot(key)
         if slot is None:
             continue
@@ -444,7 +442,7 @@ def export_xmi(model: Model, scope_id: str | None = None) -> str:
         else:
             attrs.append(("Text", expr.text))
             if expr.statement is not None:
-                for key in _SLOT_KEYS:
+                for key in SLOT_KEYS:
                     slot = expr.statement.slot(key)
                     if slot is not None and slot.binding is not None:
                         attrs.append((XMI_SLOT_NAMES[key],
@@ -546,23 +544,24 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 raise CorpusValidationError(
                     f"{public}: slot references given but the text does not parse: "
                     f"{type(exc).__name__}: {exc}") from exc
-            slot_values: dict[str, SlotValue | None] = {}
-            for key, field_name in SLOT_FIELDS.items():
-                slot = parsed.slot(key)
-                if slot is None:
-                    continue
-                slot_values[field_name] = SlotValue(slot.text, bindings.get(key))
-            statement = StructuredStatement(pattern=parsed.pattern, **slot_values)
-        model.add_expression(RequirementExpression(
-            id=public, name=public, text=text_value, statement=statement,
-            attributes=_read_attrs(entry), kind=kind))
+            statement = StructuredStatement(parsed.pattern, {
+                key: SlotValue(slot.text, bindings.get(key))
+                for key, slot in parsed.slots().items() if slot is not None})
+        attributes = _read_attrs(entry)
+        with _naming(public):
+            model.add_expression(RequirementExpression(
+                id=public, name=public, text=text_value, statement=statement,
+                attributes=attributes, kind=kind))
 
     for entry, local in set_entries:
         kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Set"
                 else ExpressionKind.NEED)
-        model.add_set(RequirementSet(
-            id=entry.get("Id", ""), name=entry.get("Name", entry.get("Id", "")),
-            attributes=_read_attrs(entry), kind=kind))
+        set_id = entry.get("Id", "")
+        attributes = _read_attrs(entry)
+        with _naming(set_id):
+            model.add_set(RequirementSet(
+                id=set_id, name=entry.get("Name", set_id), attributes=attributes,
+                kind=kind))
     for entry, _ in set_entries:
         members = []
         for ref in entry.get("Members", "").split():
@@ -571,8 +570,18 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                     f"{entry.get('Id')}: member reference {ref!r} does not resolve")
             members.append(public_of[ref])
         if members:
-            model.set_members(entry.get("Id", ""), members, touch=False)
+            with _naming(entry.get("Id", "")):
+                model.set_members(entry.get("Id", ""), members, touch=False)
     return model
+
+
+@contextmanager
+def _naming(entry_id: str) -> Iterator[None]:
+    """Re-raise a model error from importing one XMI entry, naming the entry."""
+    try:
+        yield
+    except MbsrError as exc:
+        raise CorpusValidationError(f"{entry_id}: {type(exc).__name__}: {exc}") from exc
 
 
 # --- ReqIF-lite export ---
@@ -732,7 +741,7 @@ def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
     characteristic node id rendered as S/V/M (M = no recorded verdict).
     """
     for column in columns:
-        if column in ("id", "name", "text") or column in _SLOT_KEYS:
+        if column in ("id", "name", "text") or column in SLOT_KEYS:
             continue
         if column in model.catalog.attributes or model.catalog.is_graph_node(column):
             continue
@@ -745,7 +754,7 @@ def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
             return expr.name
         if column == "text":
             return expr.text
-        if column in _SLOT_KEYS:
+        if column in SLOT_KEYS:
             if expr.statement is None:
                 return ""
             slot = expr.statement.slot(column)
@@ -801,7 +810,7 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
         f"Total requirements: {metric.total}",
         f"Pattern-complete: {metric.complete} ({metric.pct:.2f}%)",
         "Slot fill: " + ", ".join(
-            f"{key} {count}" for key, count in zip(_SLOT_KEYS, metric.slot_counts)),
+            f"{key} {count}" for key, count in zip(SLOT_KEYS, metric.slot_counts)),
         "",
         "## Key and Driving Requirements", "",
     ])

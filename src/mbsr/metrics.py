@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 from datetime import datetime
 
+from .catalog import SLOT_KEYS
 from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
 from .model import Model
 
@@ -20,8 +21,6 @@ METRIC_TYPE = "slot_completeness"
 
 CSV_COLUMNS = ("timestamp", "scope", "type", "total",
                "sr1", "sr2", "sr3", "sr4", "sr5", "complete", "pct")
-
-_SLOT_KEYS = ("SR1", "SR2", "SR3", "SR4", "SR5")
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def compute_slot_completeness(model: Model, scope_id: str | None = None,
         if expr.statement is None:
             continue
         complete += 1
-        for i, key in enumerate(_SLOT_KEYS):
+        for i, key in enumerate(SLOT_KEYS):
             slot = expr.statement.slot(key)
             if slot is not None and slot.text:
                 counts[i] += 1

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
-from .catalog import Catalog, ValueKind, default_catalog
+from .catalog import PATTERNS, SLOT_KEYS, Catalog, ValueKind, default_catalog
 from .errors import (
     DerivedAttributeError,
     DuplicateIdError,
@@ -45,19 +45,7 @@ DEFAULT_MODEL_UUID = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 # wall-clock epoch used when a caller wants reproducible output
 FIXED_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
-MANDATORY_SLOTS: dict[str, tuple[str, ...]] = {
-    "Iso1": ("SR2", "SR3", "SR5"),
-    "Iso2": ("SR1", "SR2", "SR3", "SR4", "SR5"),
-    "Carson": ("SR1", "SR2", "SR3", "SR5"),
-}
-
-SLOT_FIELDS = {
-    "SR1": "sr1_condition",
-    "SR2": "sr2_subject",
-    "SR3": "sr3_action",
-    "SR4": "sr4_object",
-    "SR5": "sr5_constraint",
-}
+_SLOT_INDEX = {key: i for i, key in enumerate(SLOT_KEYS)}
 
 
 class ElementKind(Enum):
@@ -103,34 +91,39 @@ class SlotValue:
     binding: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuredStatement:
+    """StructuredStatement(pattern, {slot key: SlotValue}): exactly the
+    pattern's slots, each with text. The mapping is copied, not kept."""
     pattern: str
-    sr1_condition: SlotValue | None = None
-    sr2_subject: SlotValue | None = None
-    sr3_action: SlotValue | None = None
-    sr4_object: SlotValue | None = None
-    sr5_constraint: SlotValue | None = None
+    # one entry per SLOT_KEYS key, None where the pattern has no such slot
+    _slots: tuple[SlotValue | None, ...]
 
-    def __post_init__(self):
-        if self.pattern not in MANDATORY_SLOTS:
-            raise InvariantViolationError(f"unknown pattern {self.pattern!r}")
-        mandatory = set(MANDATORY_SLOTS[self.pattern])
-        for key, fname in SLOT_FIELDS.items():
-            slot: SlotValue | None = getattr(self, fname)
-            if key in mandatory:
+    def __init__(self, pattern: str, values: Mapping[str, SlotValue | None] | None = None):
+        shape = PATTERNS.get(pattern)
+        if shape is None:
+            raise InvariantViolationError(f"unknown pattern {pattern!r}")
+        values = values or {}
+        for key in values:
+            if key not in _SLOT_INDEX:
+                raise SlotNotAllowedError(key, pattern)
+        slots = tuple(map(values.get, SLOT_KEYS))
+        for key, slot in zip(SLOT_KEYS, slots):
+            if key in shape.slot_order:
                 if slot is None:
-                    raise MissingMandatorySlotError(key, self.pattern)
+                    raise MissingMandatorySlotError(key, pattern)
                 if not slot.text:
                     raise EmptySlotError(key)
             elif slot is not None:
-                raise SlotNotAllowedError(key, self.pattern)
+                raise SlotNotAllowedError(key, pattern)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "_slots", slots)
 
     def slot(self, key: str) -> SlotValue | None:
-        return getattr(self, SLOT_FIELDS[key])
+        return self._slots[_SLOT_INDEX[key]]
 
     def slots(self) -> dict[str, SlotValue | None]:
-        return {key: getattr(self, fname) for key, fname in SLOT_FIELDS.items()}
+        return dict(zip(SLOT_KEYS, self._slots))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import EmptySlotError, MissingMandatorySlotError, NoShallKeywordError
-from .model import MANDATORY_SLOTS, SLOT_FIELDS, SlotValue, StructuredStatement
+from .catalog import PATTERNS, default_catalog
+from .errors import EmptySlotError, NoShallKeywordError
+from .model import SlotValue, StructuredStatement
 from .textscan import Token, tokenize
 
 if TYPE_CHECKING:
@@ -101,7 +102,6 @@ def _uncovered(text: str, covered: list[Span]) -> list[Span]:
 @cache
 def _default_catalog() -> Catalog:
     """Built once; never handed out, and only its patterns are read."""
-    from .catalog import default_catalog
     return default_catalog()
 
 
@@ -215,30 +215,17 @@ def parse_statement(text: str, glossary: Glossary | None = None,
         connective_spans=sorted(parts.connectives),
     )
 
-    values: dict[str, SlotValue | None] = {}
+    values: dict[str, SlotValue] = {}
     for key, span in slot_spans.items():
         fragment = text[span[0]:span[1]]
-        values[SLOT_FIELDS[key]] = SlotValue(fragment, _bind(fragment, glossary))
-    statement = StructuredStatement(pattern=parts.pattern, **values)
-    return statement, diag
-
-
-_TEMPLATES = {
-    "Iso2": "{SR1}, the {SR2} shall {SR3} {SR4} {SR5}.",
-    "Iso1": "The {SR2} shall {SR3} {SR5}.",
-    "Carson": "The {SR2} shall {SR3} {SR5} under {SR1}.",
-}
+        values[key] = SlotValue(fragment, _bind(fragment, glossary))
+    return StructuredStatement(parts.pattern, values), diag
 
 
 def render_statement(statement: StructuredStatement) -> str:
     """Derived text from slots; the statement's pattern picks the template."""
-    parts: dict[str, str] = {}
-    for key in MANDATORY_SLOTS[statement.pattern]:
-        slot = statement.slot(key)
-        if slot is None or not slot.text:
-            raise MissingMandatorySlotError(key, statement.pattern)
-        parts[key] = slot.text
-    return _TEMPLATES[statement.pattern].format_map(parts)
+    return PATTERNS[statement.pattern].template.format_map(
+        {key: slot.text for key, slot in statement.slots().items() if slot is not None})
 
 
 def count_shall(text: str) -> int:

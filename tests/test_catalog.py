@@ -1,5 +1,8 @@
 """Catalog registries: rules, characteristics, attributes, patterns, overrides."""
 
+import random
+import string
+
 import pytest
 
 from mbsr import (
@@ -12,7 +15,8 @@ from mbsr import (
     load_catalog,
     validate_catalog,
 )
-from mbsr.errors import CatalogParseError, InvariantViolationError
+from mbsr.catalog import CONSTRAINT_MARKERS, PATTERNS
+from mbsr.errors import CatalogParseError, InvariantViolationError, MbsrError
 
 
 def test_rule_registry_is_r1_to_r42(catalog):
@@ -92,6 +96,28 @@ def test_load_catalog_without_config_matches_default(catalog):
     loaded = load_catalog()
     assert set(loaded.rules) == set(catalog.rules)
     assert loaded.attributes["A34"] == catalog.attributes["A34"]
+    assert loaded == catalog
+    assert loaded == default_catalog()
+
+
+@pytest.mark.parametrize("pid", sorted(PATTERNS))
+def test_pattern_table_drives_slot_order_and_template(pid):
+    shape = PATTERNS[pid]
+    assert default_catalog().patterns[pid].slot_order == shape.slot_order
+    fields = [name for _, name, _, _ in string.Formatter().parse(shape.template)
+              if name is not None]
+    assert sorted(fields) == sorted(shape.slot_order)
+
+
+def test_pattern_override_does_not_leak_into_later_defaults(tmp_path):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[pattern Iso1]\nsr5_markers = within\n", encoding="utf-8")
+    loaded = load_catalog(cfg)
+    assert loaded.patterns["Iso1"].connective_words["SR5"] == ("within",)
+    loaded.patterns["Iso2"].connective_words["SR5"] = ("every",)
+    fresh = default_catalog()
+    assert fresh.patterns["Iso1"].connective_words["SR5"] == CONSTRAINT_MARKERS
+    assert fresh.patterns["Iso2"].connective_words["SR5"] == CONSTRAINT_MARKERS
 
 
 def test_override_disables_rule(tmp_path):
@@ -151,3 +177,59 @@ def test_is_graph_node(catalog):
     assert catalog.is_graph_node("C15")
     assert not catalog.is_graph_node("A01")
     assert not catalog.is_graph_node("REQ-1")
+
+
+# the fuzz below draws configs from these: per section kind, its ids and, per
+# field, valid and broken values; plus headers and lines wrong in any section
+_FUZZ_SECTIONS = {
+    "rule": (("R1", "R2", "R10", "R16", "R7"), {
+        "enabled": ("true", "no", "maybe"), "automation": ("Manual", "Automated", "Sometimes"),
+        "contributes_to": ("C3, C4", "C99", ""), "phrases": ("be able to", ""),
+        "participles": (", ,",), "name": ("New name",), "description": ("Text", "<<<")}),
+    "attribute": (("A34", "A14", "A01", "XRisk", "XCost"), {
+        "name": ("Risk",), "group": ("G",), "minimum": ("yes", "perhaps"),
+        "kind": ("Enum", "Text", "Timestamp", "Blob"), "values": ("High, Low", "")}),
+    "characteristic": (("C3", "C10", "C15"), {
+        "name": ("Clear",), "derivation": ("FormalTransformation", "Guess")}),
+    "pattern": (("Iso1", "Iso2", "Carson"), {
+        "sr1_markers": ("When, If", ""), "sr5_markers": ("within", ","), "sr3_markers": ("x",)}),
+    "flags": (("config",), {
+        "case_insensitive_terms": ("true", "2"), "forbid_trace_links": ("false", "nope")}),
+}
+_FUZZ_BAD_HEADERS = ("[rule R99]", "[rule R43]", "[attribute A50]", "[characteristic C16]",
+                     "[pattern Iso9]", "[widget W1]", "[Rule R1]", "[rule]")
+_FUZZ_ANY_LINES = ("bogus = 1", "no equals sign", "= empty key", "# comment",
+                   "fenced line", ">>>", "<<<")
+
+
+def _fuzz_config(rng):
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(sorted(_FUZZ_SECTIONS))
+        ids, fields = _FUZZ_SECTIONS[kind]
+        lines.append(f"[{kind} {rng.choice(ids)}]" if rng.random() < 0.9
+                     else rng.choice(_FUZZ_BAD_HEADERS))
+        for key in rng.sample(sorted(fields), min(len(fields), rng.randint(0, 4))):
+            lines.append(f"{key} = {rng.choice(fields[key])}".rstrip())
+            if rng.random() < 0.1:
+                lines.append(rng.choice(_FUZZ_ANY_LINES))
+        if rng.random() < 0.9:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def test_load_catalog_fuzz_raises_only_mbsr_errors(tmp_path):
+    rng = random.Random(20261018)
+    cfg = tmp_path / "cat.cfg"
+    outcomes = set()
+    for _ in range(400):
+        text = _fuzz_config(rng)
+        cfg.write_text(text, encoding="utf-8")
+        try:
+            load_catalog(cfg)
+            outcomes.add("loaded")
+        except MbsrError as exc:
+            outcomes.add(type(exc).__name__)
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} escaped load_catalog for:\n{text}")
+    assert {"loaded", "CatalogParseError", "InvariantViolationError"} <= outcomes

@@ -201,15 +201,15 @@ def test_reconcile_allocations_reports_unallocated_bindings(catalog):
         "R-1", name="One", text="The System shall run within 1 s.",
         statement=StructuredStatement(
             "Iso1",
-            sr2_subject=SlotValue("System", binding="blk-b"),
-            sr3_action=SlotValue("run"),
-            sr5_constraint=SlotValue("within 1 s"))))
+            {"SR2": SlotValue("System", binding="blk-b"),
+             "SR3": SlotValue("run"),
+             "SR5": SlotValue("within 1 s")})))
     assert reconcile_allocations(model) == [("System", "blk-b", "unallocated")]
 
     # binding within the declared allocation set reports nothing
     model.set_statement("R-1", StructuredStatement(
         "Iso1",
-        sr2_subject=SlotValue("System", binding="blk-a"),
-        sr3_action=SlotValue("run"),
-        sr5_constraint=SlotValue("within 1 s")))
+        {"SR2": SlotValue("System", binding="blk-a"),
+         "SR3": SlotValue("run"),
+         "SR5": SlotValue("within 1 s")}))
     assert reconcile_allocations(model) == []

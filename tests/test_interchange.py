@@ -102,7 +102,7 @@ def test_parsed_statement_fields_round_trip(asteroid_model, catalog):
     assert "sr2_ref = blk-spacecraft" in text
     model2 = loads_corpus(text, catalog, clock=fixed_clock)
     stmt = model2.expression("L3-EX.1").statement
-    assert stmt.sr2_subject.binding == "blk-spacecraft"
+    assert stmt.slot("SR2").binding == "blk-spacecraft"
 
 
 # --- corpus validation errors ---
@@ -248,7 +248,7 @@ def test_xmi_import_round_trip(asteroid_model, catalog):
     assert export_xmi(back) == xmi
     expr = back.expression("L3-EX.1")
     assert expr.statement is not None
-    assert expr.statement.sr2_subject.binding == "blk-spacecraft"
+    assert expr.statement.slot("SR2").binding == "blk-spacecraft"
     assert back.expression("L3-EX").members == ["L3-EX.1"]
 
 
@@ -284,6 +284,35 @@ def test_xmi_import_names_the_entry_whose_bound_text_does_not_parse(asteroid_mod
     assert f"Text='{text}'" in xmi and "SR2_Subject=" in xmi
     with pytest.raises(CorpusValidationError, match=r"L3-EX\.1: .*NoShallKeywordError"):
         import_xmi(xmi.replace(text, "The thing does a thing", 1), catalog)
+
+
+def test_xmi_import_names_the_entry_with_a_bad_enum_token(tracechain_model, catalog):
+    xmi = export_xmi(tracechain_model)
+    assert "A38_Key___Driving='K+D'" in xmi
+    with pytest.raises(CorpusValidationError, match=r"L3-A: InvalidAttributeTokenError: .*'Q'"):
+        import_xmi(xmi.replace("A38_Key___Driving='K+D'", "A38_Key___Driving='Q'", 1), catalog)
+
+
+def test_xmi_import_names_the_entry_storing_a_derived_attribute(tracechain_model, catalog):
+    xmi = export_xmi(tracechain_model)
+    a15 = mangled_attribute_name(catalog.attributes["A15"])
+    assert "A38_Key___Driving='D'" in xmi
+    bad = xmi.replace("A38_Key___Driving='D'", f"A38_Key___Driving='D' {a15}='L4-A'", 1)
+    with pytest.raises(CorpusValidationError, match=r"L4-A: DerivedAttributeError: A15"):
+        import_xmi(bad, catalog)
+
+
+def test_xmi_import_names_the_set_whose_members_are_rejected(tracechain_model, catalog):
+    xmi = export_xmi(tracechain_model)
+    member = internal_id(tracechain_model, "L3-A")
+    own = internal_id(tracechain_model, "SET-ALL")
+    assert f"Members='{member}" in xmi
+    with pytest.raises(CorpusValidationError, match=r"SET-ALL: MembershipCycleError"):
+        import_xmi(xmi.replace(f"Members='{member}", f"Members='{own}", 1), catalog)
+    # a set whose id is taken is rejected when it is added
+    assert "Id='SET-ALL'" in xmi
+    with pytest.raises(CorpusValidationError, match=r"L3-A: DuplicateIdError"):
+        import_xmi(xmi.replace("Id='SET-ALL'", "Id='L3-A'", 1), catalog)
 
 
 def test_mangled_attribute_name_rules(catalog):

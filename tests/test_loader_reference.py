@@ -23,7 +23,6 @@ from mbsr.interchange import (
     _wrap,
 )
 from mbsr.model import (
-    SLOT_FIELDS,
     AttributeValue,
     ExpressionKind,
     Model,
@@ -85,7 +84,7 @@ def _statement_from_fields(block):
                     f"[{block.kind} {block.ident}] {low}_ref given without {low}",
                     block.field_lines.get(f"{low}_ref", block.line))
             continue
-        slot_values[SLOT_FIELDS[key]] = SlotValue(text, ref)
+        slot_values[key] = SlotValue(text, ref)
     if pattern is None:
         if slot_values:
             raise CorpusValidationError(
@@ -93,7 +92,7 @@ def _statement_from_fields(block):
                 block.line)
         return None
     try:
-        return StructuredStatement(pattern=pattern, **slot_values)
+        return StructuredStatement(pattern, slot_values)
     except MbsrError as exc:
         raise _wrap(block, exc) from exc
 

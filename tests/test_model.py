@@ -21,6 +21,7 @@ from mbsr import (
 )
 from mbsr.errors import (
     DerivedAttributeError,
+    EmptySlotError,
     InvalidAttributeTokenError,
     InvariantViolationError,
     KindConstraintViolationError,
@@ -96,20 +97,85 @@ def test_unknown_lookups_raise():
 
 def test_statement_mandatory_slots_enforced():
     with pytest.raises(MissingMandatorySlotError):
-        StructuredStatement("Iso1", sr2_subject=SlotValue("System"))
+        StructuredStatement("Iso1", {"SR2": SlotValue("System")})
     with pytest.raises(SlotNotAllowedError):
         StructuredStatement(
-            "Iso1", sr2_subject=SlotValue("System"), sr3_action=SlotValue("run"),
-            sr5_constraint=SlotValue("within 1 s"), sr4_object=SlotValue("x"))
+            "Iso1", {"SR2": SlotValue("System"), "SR3": SlotValue("run"),
+                     "SR5": SlotValue("within 1 s"), "SR4": SlotValue("x")})
     with pytest.raises(InvariantViolationError):
         StructuredStatement("Nope")
+
+
+def _iso1_slots():
+    return {"SR2": SlotValue("System"), "SR3": SlotValue("run"),
+            "SR5": SlotValue("within 1 s")}
+
+
+def test_statement_errors_come_in_slot_order():
+    # Carson needs SR1, SR2, SR3 and SR5; with SR1 and SR2 both missing, SR1 is named
+    with pytest.raises(MissingMandatorySlotError) as err:
+        StructuredStatement("Carson", {"SR3": SlotValue("run"), "SR5": SlotValue("within 1 s")})
+    assert err.value.slot == "SR1"
+    # a missing SR3 is named before a not-allowed SR4
+    with pytest.raises(MissingMandatorySlotError) as err:
+        StructuredStatement("Iso1", {"SR5": SlotValue("within 1 s"), "SR4": SlotValue("x"),
+                                     "SR2": SlotValue("System")})
+    assert err.value.slot == "SR3"
+    # a not-allowed SR1 is named before an empty SR2
+    with pytest.raises(SlotNotAllowedError) as err:
+        StructuredStatement("Iso1", {**_iso1_slots(), "SR2": SlotValue(""), "SR1": SlotValue("x")})
+    assert err.value.slot == "SR1"
+    with pytest.raises(EmptySlotError) as err:
+        StructuredStatement("Iso1", {**_iso1_slots(), "SR3": SlotValue("")})
+    assert err.value.slot == "SR3"
+
+
+@pytest.mark.parametrize("key", ["SR6", "sr2", "SR0", "sr2_subject", ""])
+def test_statement_rejects_unknown_slot_keys(key):
+    for value in (SlotValue("x"), None):
+        with pytest.raises(SlotNotAllowedError) as err:
+            StructuredStatement("Iso1", {**_iso1_slots(), key: value})
+        assert err.value.slot == key
+
+
+def test_statement_copies_its_slot_mapping():
+    values = _iso1_slots()
+    stmt = StructuredStatement("Iso1", values)
+    values["SR2"] = SlotValue("Other")
+    values["SR4"] = SlotValue("x")
+    del values["SR3"]
+    assert stmt.slot("SR2") == SlotValue("System")
+    assert stmt.slot("SR3") == SlotValue("run")
+    assert stmt.slot("SR4") is None
+    stmt.slots()["SR2"] = SlotValue("Other")
+    assert stmt.slot("SR2") == SlotValue("System")
+    with pytest.raises(AttributeError):
+        stmt.pattern = "Iso2"
+
+
+def test_statement_slots_lists_all_five_keys():
+    stmt = StructuredStatement("Iso1", {**_iso1_slots(), "SR4": None})
+    assert stmt.slots() == {"SR1": None, "SR2": SlotValue("System"), "SR3": SlotValue("run"),
+                            "SR4": None, "SR5": SlotValue("within 1 s")}
+    assert list(stmt.slots()) == ["SR1", "SR2", "SR3", "SR4", "SR5"]
+
+
+def test_equal_statements_hash_equal():
+    first = StructuredStatement("Iso1", _iso1_slots())
+    second = StructuredStatement("Iso1", dict(reversed(list(_iso1_slots().items()))))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    bound = StructuredStatement("Iso1", {**_iso1_slots(), "SR2": SlotValue("System", "blk-sys")})
+    assert bound != first
+    assert len({first, bound}) == 2
 
 
 def test_statement_binding_must_exist():
     model = build_model()
     stmt = StructuredStatement(
-        "Iso1", sr2_subject=SlotValue("System", binding="blk-ghost"),
-        sr3_action=SlotValue("run"), sr5_constraint=SlotValue("within 1 s"))
+        "Iso1", {"SR2": SlotValue("System", binding="blk-ghost"),
+                 "SR3": SlotValue("run"), "SR5": SlotValue("within 1 s")})
     with pytest.raises(UnknownIdError):
         model.set_statement("R-1", stmt)
 

@@ -79,7 +79,7 @@ def test_condition_requires_leading_keyword_and_comma():
     # subject-action reading with everything before shall as the subject
     statement, _ = parse_statement("While idle the System shall wait within 1 s.")
     assert statement.pattern == "Iso1"
-    assert statement.sr2_subject.text == "While idle the System"
+    assert statement.slot("SR2").text == "While idle the System"
     statement, _ = parse_statement("While idle, the System shall log Events within 1 s.")
     assert statement.pattern == "Iso2"
 
@@ -94,7 +94,7 @@ def test_condition_keyword_is_case_insensitive():
     statement, _ = parse_statement(
         "WHEN armed, the Launcher shall fire Flare within 1 s.")
     assert statement.pattern == "Iso2"
-    assert statement.sr1_condition.text == "WHEN armed"
+    assert statement.slot("SR1").text == "WHEN armed"
 
 
 def test_carson_condition_needs_trailing_words():
@@ -106,7 +106,7 @@ def test_carson_condition_needs_trailing_words():
 def test_longest_constraint_marker_wins():
     statement, _ = parse_statement(
         "The Recorder shall capture Audio_Stream in less than 5 ms.")
-    assert statement.sr5_constraint.text == "in less than 5 ms"
+    assert statement.slot("SR5").text == "in less than 5 ms"
 
 
 def test_multi_shall_counts():
@@ -123,9 +123,9 @@ def test_glossary_binding_resolves_slots(catalog):
         "System", definition="the product", allocations=("blk-sys",)))
     statement, _ = parse_statement(
         "The System shall run within 1 s.", glossary=model.glossary)
-    assert statement.sr2_subject.binding == "blk-sys"
+    assert statement.slot("SR2").binding == "blk-sys"
     # unresolved fragments simply stay unbound
-    assert statement.sr3_action.binding is None
+    assert statement.slot("SR3").binding is None
 
 
 def test_binding_requires_unique_allocation(catalog):
@@ -134,7 +134,7 @@ def test_binding_requires_unique_allocation(catalog):
         "System", definition="ambiguous", allocations=("blk-a", "blk-b")))
     statement, _ = parse_statement(
         "The System shall run within 1 s.", glossary=glossary)
-    assert statement.sr2_subject.binding is None
+    assert statement.slot("SR2").binding is None
 
 
 # --- seeded generator property ---
@@ -202,8 +202,8 @@ def test_marker_lexicon_overrides_do_not_share_cached_markers(tmp_path):
     text = "The System shall run with power within 1 s."
     for _ in range(2):
         default, _ = parse_statement(text, None, default_catalog())
-        assert default.sr3_action.text == "run"
-        assert default.sr5_constraint.text == "with power within 1 s"
+        assert default.slot("SR3").text == "run"
+        assert default.slot("SR5").text == "with power within 1 s"
         overridden, _ = parse_statement(text, None, narrow)
-        assert overridden.sr3_action.text == "run with power"
-        assert overridden.sr5_constraint.text == "within 1 s"
+        assert overridden.slot("SR3").text == "run with power"
+        assert overridden.slot("SR5").text == "within 1 s"
