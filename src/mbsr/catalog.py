@@ -213,11 +213,12 @@ def _default_attributes() -> dict[str, AttributeDef]:
     return attrs
 
 
-# pattern id -> slot key -> default connective words
+# pattern id -> slot key -> default connective words: exactly the lists the
+# parser reads. Carson statements are found with Iso1's SR5 markers.
 _PATTERN_MARKERS: dict[str, dict[str, tuple[str, ...]]] = {
     "Iso1": {"SR5": CONSTRAINT_MARKERS},
     "Iso2": {"SR1": CONDITION_MARKERS, "SR5": CONSTRAINT_MARKERS},
-    "Carson": {"SR1": ("under",), "SR5": CONSTRAINT_MARKERS},
+    "Carson": {"SR1": ("under",)},
 }
 
 
@@ -268,12 +269,10 @@ def validate_catalog(catalog: Catalog) -> None:
     for pid, pattern in catalog.patterns.items():
         if pattern.slot_order != PATTERNS[pid].slot_order:
             raise InvariantViolationError(f"{pid}: slot order is fixed to {PATTERNS[pid].slot_order}")
-        if not pattern.connective_words.get("SR5"):
-            raise InvariantViolationError(f"{pid}: constraint marker lexicon must be non-empty")
-    if not catalog.patterns["Iso2"].connective_words.get("SR1"):
-        raise InvariantViolationError("Iso2: condition marker lexicon must be non-empty")
-    if not catalog.patterns["Carson"].connective_words.get("SR1"):
-        raise InvariantViolationError("Carson: trailing condition keyword must be non-empty")
+        markers = pattern.connective_words
+        if markers.keys() != _PATTERN_MARKERS[pid].keys() or not all(markers.values()):
+            raise InvariantViolationError(
+                f"{pid}: marker lexicons must be {sorted(_PATTERN_MARKERS[pid])}, each non-empty")
 
 
 def _parse_bool(value: str, line: int) -> bool:
@@ -375,12 +374,12 @@ def _override_pattern(catalog: Catalog, block: Block) -> None:
     words = dict(pattern.connective_words)
     for key, value in block.fields.items():
         line = block.field_lines[key]
-        if key == "sr1_markers":
-            words["SR1"] = _parse_list(value)
-        elif key == "sr5_markers":
-            words["SR5"] = _parse_list(value)
-        else:
+        if key not in ("sr1_markers", "sr5_markers"):
             raise CatalogParseError(f"unknown pattern field {key!r}", line)
+        slot = key[:3].upper()
+        if slot not in words:
+            raise CatalogParseError(f"{pid} does not read {key}", line)
+        words[slot] = _parse_list(value)
     catalog.patterns[pid] = replace(pattern, connective_words=words)
 
 

@@ -27,6 +27,7 @@ from .interchange import (
     load_attribute_mapping,
     load_corpus,
     serialize_corpus,
+    table_rows,
 )
 from .metrics import (
     compute_slot_completeness,
@@ -36,7 +37,7 @@ from .metrics import (
 )
 from .model import FIXED_EPOCH, Model
 from .parser import parse_statement
-from .rules import Verdict, apply_verdicts, check_scope
+from .rules import Verdict, check_scope, verdict_map
 from .trace import bidirectional_trace
 
 _RULE_ORDER = sorted(AUTOMATED_RULE_IDS, key=lambda r: int(r[1:])) + [TBX_ID]
@@ -197,19 +198,13 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
-    findings = check_scope(model, args.scope)
-    apply_verdicts(model, findings)
     columns = ["id"] + _RULE_ORDER
-    csv_text = export_table(model, args.scope, columns)
+    verdicts = verdict_map(check_scope(model, args.scope))
     if args.format == "csv":
-        _emit(csv_text, args.out)
+        _emit(export_table(model, args.scope, columns, verdicts), args.out)
         return 0
-    rows = [line.split(",") for line in csv_text.strip().split("\n")]
-    lines = ["| " + " | ".join(rows[0]) + " |",
-             "| --- |" + " --- |" * (len(columns) - 1)]
-    for row in rows[1:]:
-        lines.append("| " + " | ".join(row) + " |")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [columns, ["---"] * len(columns)] + table_rows(model, args.scope, columns, verdicts)
+    _emit("".join("| " + " | ".join(row) + " |\n" for row in rows), args.out)
     return 0
 
 
@@ -229,11 +224,9 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
             columns = ["id", "name", "text", "SR1", "SR2", "SR3", "SR4", "SR5"]
         _emit(export_table(model, args.scope, columns), args.out)
     elif args.format == "md":
-        if args.template == "SetReview":
-            # The satisfaction matrix reads verdict links, so refresh them
-            # in memory first; the corpus file itself is never rewritten.
-            apply_verdicts(model, check_scope(model, args.scope))
-        _emit(generate_report(model, args.scope, args.template), args.out)
+        verdicts = (verdict_map(check_scope(model, args.scope))
+                    if args.template == "SetReview" else None)
+        _emit(generate_report(model, args.scope, args.template, verdicts), args.out)
     elif args.format == "dot":
         _emit(export_dot(model, args.scope), args.out)
     else:

@@ -47,10 +47,11 @@ from .model import (
     StructuredStatement,
 )
 from .parser import parse_statement
-from .rules import TBX_RE
+from .rules import TBX_RE, Verdict
 from .trace import add_link, kdr_view
 
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
+VerdictMap = dict[str, dict[str, Verdict]]  # expression id -> node id, as rules.verdict_map
 
 # (slot key, text field, binding field) per slot
 _SLOT_FIELD_KEYS = tuple((key, key.lower(), f"{key.lower()}_ref") for key in SLOT_KEYS)
@@ -721,25 +722,23 @@ def export_reqif(model: Model, scope_id: str | None = None,
 
 # --- requirement table CSV ---
 
+_VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
-def _verdict_letter(model: Model, expr_id: str, node_id: str) -> str:
-    """S or V from the first Satisfy/Violate link (link-id order) from the
-    expression to the rule or characteristic node; M when there is none."""
+def _verdict_letter(model: Model, expr_id: str, node_id: str, verdicts: VerdictMap | None) -> str:
+    """S, V or M (none) from the expression's entry in verdicts when it has one,
+    else from its first Satisfy/Violate link (link-id order) to the node."""
+    if verdicts is not None and expr_id in verdicts:
+        verdict = verdicts[expr_id].get(node_id)
+        return _VERDICT_LETTERS[verdict.link_kind] if verdict is not None else "M"
     for link in model.links_from(expr_id):
-        if link.target_id == node_id:
-            if link.kind == LinkKind.SATISFY:
-                return "S"
-            if link.kind == LinkKind.VIOLATE:
-                return "V"
+        if link.target_id == node_id and link.kind in _VERDICT_LETTERS:
+            return _VERDICT_LETTERS[link.kind]
     return "M"
 
 
-def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
-    """One CSV row per non-set expression in scope.
-
-    Columns: id, name, text, SR1..SR5, any attribute key, or a rule or
-    characteristic node id rendered as S/V/M (M = no recorded verdict).
-    """
+def table_rows(model: Model, scope_id: str | None, columns: list[str],
+               verdicts: VerdictMap | None = None) -> list[list[str]]:
+    """The cells of export_table's data rows, header excluded."""
     for column in columns:
         if column in ("id", "name", "text") or column in SLOT_KEYS:
             continue
@@ -766,15 +765,25 @@ def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
                 return expr.name
             value = expr.attributes.get(column)
             return value.display() if value is not None else ""
-        return _verdict_letter(model, expr.id, column)
+        return _verdict_letter(model, expr.id, column, verdicts)
 
+    return [[cell(expr, column) for column in columns]
+            for expr in sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
+            if not expr.is_set]
+
+
+def export_table(model: Model, scope_id: str | None, columns: list[str],
+                 verdicts: VerdictMap | None = None) -> str:
+    """One CSV row per non-set expression in scope.
+
+    Columns: id, name, text, SR1..SR5, any attribute key, or a rule or
+    characteristic node id rendered as S/V/M (M = no verdict): from the
+    expression's entry in verdicts (`rules.verdict_map`, plus `rules.rollup`
+    for characteristics) when it has one, else from its stored links.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for expr in sorted(model.scope_expressions(scope_id), key=lambda e: e.id):
-        if expr.is_set:
-            continue
-        writer.writerow([cell(expr, column) for column in columns])
+    writer.writerows([columns] + table_rows(model, scope_id, columns, verdicts))
     return out.getvalue()
 
 
@@ -840,7 +849,7 @@ def _tbx_occurrences(model: Model, expr: RequirementExpression
     return found
 
 
-def _set_review_report(model: Model, scope_id: str | None) -> str:
+def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap | None) -> str:
     if scope_id and scope_id != "all":
         set_ids = [scope_id] + [i for i in model.transitive_members(scope_id)
                                 if model.expression(i).is_set]
@@ -871,7 +880,7 @@ def _set_review_report(model: Model, scope_id: str | None) -> str:
         lines.append("| requirement | " + " | ".join(node_ids) + " |")
         lines.append("| --- |" + " --- |" * len(node_ids))
         for expr in rows:
-            cells = [_verdict_letter(model, expr.id, n) for n in node_ids]
+            cells = [_verdict_letter(model, expr.id, n, verdicts) for n in node_ids]
             lines.append(f"| {expr.id} | " + " | ".join(cells) + " |")
         lines.append("")
         lines.append("### TBX Summary")
@@ -921,10 +930,12 @@ def export_dot(model: Model, scope_id: str | None = None) -> str:
 REPORT_TEMPLATES = ("Overview", "SetReview")
 
 
-def generate_report(model: Model, scope_id: str | None, template: str) -> str:
+def generate_report(model: Model, scope_id: str | None, template: str,
+                    verdicts: VerdictMap | None = None) -> str:
+    """Markdown report; SetReview reads verdicts as export_table does."""
     if template == "Overview":
         return _overview_report(model, scope_id)
     if template == "SetReview":
-        return _set_review_report(model, scope_id)
+        return _set_review_report(model, scope_id, verdicts)
     raise InvariantViolationError(
         f"unknown report template {template!r}; expected one of {REPORT_TEMPLATES}")

@@ -94,13 +94,13 @@ def load_history_csv(text: str) -> list[MetricInstance]:
     """Parse rows written by render_history_csv; the header row is optional."""
     history: list[MetricInstance] = []
     reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row or row[0] == "timestamp":
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise UnknownColumnError(
-                f"metric row has {len(row)} columns, expected {len(CSV_COLUMNS)}")
-        try:
+    try:
+        for row in reader:
+            if not row or row[0] == "timestamp":
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise UnknownColumnError(
+                    f"metric row has {len(row)} columns, expected {len(CSV_COLUMNS)}")
             history.append(MetricInstance(
                 timestamp=datetime.fromisoformat(row[0]),
                 scope=row[1],
@@ -110,7 +110,7 @@ def load_history_csv(text: str) -> list[MetricInstance]:
                 complete=int(row[9]),
                 pct=float(row[10]),
             ))
-        except ValueError as exc:
-            raise MetricHistoryError(
-                f"metric history line {reader.line_num}: {exc}") from None
+    except (ValueError, csv.Error) as exc:
+        raise MetricHistoryError(
+            f"metric history line {reader.line_num}: {exc}") from None
     return history

@@ -120,6 +120,16 @@ def test_pattern_override_does_not_leak_into_later_defaults(tmp_path):
     assert fresh.patterns["Iso2"].connective_words["SR5"] == CONSTRAINT_MARKERS
 
 
+@pytest.mark.parametrize("pid, key", [("Carson", "sr5_markers"), ("Iso1", "sr1_markers")])
+def test_pattern_override_rejects_markers_the_parser_never_reads(tmp_path, pid, key):
+    # Carson statements are found with Iso1's SR5 markers; Iso1 has no SR1
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text(f"# unread markers\n[pattern {pid}]\n{key} = before\n",
+                   encoding="utf-8")
+    with pytest.raises(CatalogParseError, match=f"^line 3: {pid} does not read {key}"):
+        load_catalog(cfg)
+
+
 def test_override_disables_rule(tmp_path):
     cfg = tmp_path / "cat.cfg"
     cfg.write_text("[rule R10]\nenabled = false\n", encoding="utf-8")

@@ -5,6 +5,11 @@ compares the result with the files under tests/golden/: one `<case>.stdout`
 per case in a folder per fixture, and `expected.json` holding each case's
 exit code and stderr. A refactor or speed-up must leave them unchanged.
 
+The `verdicts` fixture stores Satisfy/Violate links on a Need and on checked
+requirements; its extra cases disable R2 through a catalog override or
+narrow the scope, so the matrix and the SetReview report show which cells
+come from current findings and which from stored links.
+
 After a deliberate output change, regenerate the files and review the diff:
 
     PYTHONPATH=src python tests/test_golden_cli.py --update
@@ -27,6 +32,7 @@ from mbsr.cli import main
 REPO_DIR = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_DIR / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+R2_DISABLED = str(Path(__file__).resolve().parent / "fixtures" / "r2_disabled.cfg")
 EXPECTED = GOLDEN_DIR / "expected.json"
 
 _TABLE_COLUMNS = ("id,name,text,SR1,SR2,SR3,SR4,SR5,"
@@ -53,7 +59,24 @@ _PARSE_IDS = {
     "mixed": ["M-01", "M-02", "M-03", "M-04"],
     "mixed_fixed": ["M-01", "M-03"],
     "tracechain": ["L3-A", "L3-A-copy", "L4-A", "L5-A"],
+    "verdicts": ["N-01", "V-02"],
 }
+
+# fixture -> extra cases run on that fixture only
+_EXTRA = {
+    "verdicts": {
+        "matrix-csv-r2-off": ["--config", R2_DISABLED, "matrix", "--format", "csv"],
+        "matrix-md-r2-off": ["--config", R2_DISABLED, "matrix", "--format", "md"],
+        "export-md-setreview-r2-off": ["--config", R2_DISABLED, "export", "--format",
+                                       "md", "--template", "SetReview"],
+        "matrix-csv-scope": ["--scope", "V-SET", "matrix", "--format", "csv"],
+        "export-md-setreview-scope": ["--scope", "V-SET", "export", "--format", "md",
+                                      "--template", "SetReview"],
+    },
+}
+
+# cases whose output is built from verdicts; none may store a verdict link
+_VERDICT_READERS = ("lint", "matrix-", "export-md-setreview")
 
 
 def _cases() -> dict[str, list[str]]:
@@ -64,6 +87,8 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{fixture}/{name}"] = argv
         for req_id in parse_ids:
             cases[f"{fixture}/parse-{req_id}"] = ["parse", req_id]
+        for name, argv in _EXTRA.get(fixture, {}).items():
+            cases[f"{fixture}/{name}"] = argv
     return cases
 
 
@@ -102,18 +127,22 @@ def test_cli_output_matches_golden(case, expected):
 
 @pytest.mark.parametrize("fixture", sorted(_PARSE_IDS))
 def test_lint_output_needs_no_verdict_links(fixture, expected, monkeypatch):
-    """lint reports from its findings alone: with apply_verdicts failing, the
-    output is still the golden one."""
+    """lint, matrix and the SetReview report read verdicts from the findings:
+    with apply_verdicts failing, every such case still gives its golden
+    output."""
     def refuse(model, findings):
-        raise AssertionError("lint applied verdicts")
+        raise AssertionError("verdict links were applied")
 
-    monkeypatch.setattr(mbsr.cli, "apply_verdicts", refuse)
-    monkeypatch.setattr(mbsr.rules, "apply_verdicts", refuse)
-    case = f"{fixture}/lint"
-    code, out, err = run_case(case)
-    assert code == expected[case]["exit"]
-    assert err == expected[case]["stderr"]
-    assert out.encode("utf-8") == _stdout_path(case).read_bytes()
+    for module in (mbsr, mbsr.rules, mbsr.cli):
+        monkeypatch.setattr(module, "apply_verdicts", refuse, raising=False)
+    cases = [c for c in sorted(CASES)
+             if c.startswith(f"{fixture}/") and c.split("/", 1)[1].startswith(_VERDICT_READERS)]
+    assert len(cases) >= 4
+    for case in cases:
+        code, out, err = run_case(case)
+        assert code == expected[case]["exit"], case
+        assert err == expected[case]["stderr"], case
+        assert out.encode("utf-8") == _stdout_path(case).read_bytes(), case
 
 
 def _update() -> None:

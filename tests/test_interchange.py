@@ -1,14 +1,19 @@
 """Corpus format round trips, XMI export/import, ReqIF, tables, reports."""
 
+import random
 import re
 import uuid
+from dataclasses import replace
 
 import pytest
 
+from bench.corpus import CHARACTERISTICS, RULES, SHAPES, generate
 from mbsr import (
     AttributeValue,
     Model,
     RequirementExpression,
+    apply_verdicts,
+    check_scope,
     export_dot,
     export_reqif,
     export_table,
@@ -16,20 +21,24 @@ from mbsr import (
     generate_report,
     import_xmi,
     load_attribute_mapping,
+    load_catalog,
     load_corpus,
     loads_corpus,
+    rollup,
     save_corpus,
     serialize_corpus,
 )
 from mbsr.errors import (
     CorpusValidationError,
     MappingMissingError,
+    MbsrError,
     UnknownColumnError,
 )
 from mbsr.interchange import internal_id, mangled_attribute_name
+from mbsr.rules import verdict_map
 from tests.conftest import CORPUS_DIR, fixed_clock
 
-FIXTURE_NAMES = ("asteroid", "tracechain", "metrics10", "mixed", "mixed_fixed")
+FIXTURE_NAMES = ("asteroid", "tracechain", "metrics10", "mixed", "mixed_fixed", "verdicts")
 
 
 # --- corpus round trips ---
@@ -442,3 +451,100 @@ def test_export_dot_shapes(tracechain_model):
     assert '"blk-controller" [shape=ellipse' in dot
     assert '"L4-A" -> "L3-A" [label="Derive"];' in dot
     assert '"SET-ALL" -> "L3-A" [label="Containment"];' in dot
+
+
+# --- verdict source against stored verdict links, on generated corpora ---
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["bulk-lint", "trace-review"])
+def test_verdict_map_renders_like_applied_verdict_links(workload, seed, tmp_path):
+    """export_table and SetReview read from a verdict map give what they give
+    after apply_verdicts stored the same findings: first for one leaf set,
+    so the other requirements fall back to their (absent) links, then for
+    the whole corpus, over the links the first apply stored. The corpora keep
+    their workload's make-up at a fifth of its size, for the suite's budget."""
+    shape = SHAPES[workload]
+    corpus = generate(workload, seed, replace(shape, n=shape.n // 5))
+    config = None
+    if corpus.config_text is not None:
+        config = tmp_path / "catalog.cfg"
+        config.write_text(corpus.config_text, encoding="utf-8")
+    model = loads_corpus(corpus.text(), load_catalog(config), clock=fixed_clock)
+    columns = ["id", *RULES, *CHARACTERISTICS]
+    for scope in (corpus.leaf_sets()[0], None):
+        findings = check_scope(model, scope)
+        verdicts = verdict_map(findings)
+        with_rollup = {eid: {**v, **rollup(model.catalog, v)} for eid, v in verdicts.items()}
+        table = export_table(model, None, columns, with_rollup)
+        report = generate_report(model, None, "SetReview", verdicts)
+        assert apply_verdicts(model, findings) > 0
+        assert export_table(model, None, columns) == table
+        assert generate_report(model, None, "SetReview") == report
+
+
+# --- import_xmi on damaged input ---
+
+_XMI_BAD_VALUES = ("", "Q", "K+D", "Gizmo", "not-a-date", "2026-13-40T00:00:00",
+                   "-1", "1e999", "&amp;", "_deadbeef", "L3-A", "SET-ALL _x", "é ")
+_XMI_BAD_TAGS = ("Need", "Need_Set", "Requirement_Set", "Requirement_Expression",
+                 "Named_Element", "Widget", "")
+_XMI_BAD_ATTRS = ("Kind", "Id", "Members", "Text", "SR2", "A38_Key___Driving",
+                  "A14_Date_Last_Modified_", "A15_Unique_Identifier_", "Bogus_Name")
+_XMI_ATTR_RE = re.compile(r"(\w+(?::\w+)?)='([^']*)'")
+
+
+def _damage_xmi(rng, text):
+    """One to three random edits: drop or garble an attribute, rename an
+    element, add an attribute line, drop, double or repeat lines, and more
+    rarely truncate or insert a markup character, which rarely parses."""
+    for _ in range(rng.randint(1, 3)):
+        attrs = list(_XMI_ATTR_RE.finditer(text))
+        lines = text.split("\n")
+        edit = rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7))
+        if edit == 0:
+            text = text[:rng.randrange(len(text))]
+        elif edit == 1 and attrs:
+            m = rng.choice(attrs)
+            text = text[:m.start()] + text[m.end():]
+        elif edit == 2 and attrs:
+            m = rng.choice(attrs)
+            text = text[:m.start(2)] + rng.choice(_XMI_BAD_VALUES) + text[m.end(2):]
+        elif edit == 3:
+            old = rng.choice(_XMI_BAD_TAGS[:5])
+            text = text.replace(f"Profile:{old}\n", f"Profile:{rng.choice(_XMI_BAD_TAGS)}\n", 1)
+        elif edit == 4:
+            i = rng.randrange(len(lines))
+            lines.insert(i, f"      {rng.choice(_XMI_BAD_ATTRS)}='{rng.choice(_XMI_BAD_VALUES)}'")
+            text = "\n".join(lines)
+        elif edit == 5:
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [lines[i]] * rng.choice((0, 2))
+            text = "\n".join(lines)
+        elif edit == 6:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(("<", ">", "&", "'", '"', "/>", "\x00")) + text[i:]
+        else:
+            i = rng.randrange(len(lines))
+            block = lines[max(0, i - 6):i]
+            lines[i:i] = block
+            text = "\n".join(lines)
+    return text
+
+
+def test_import_xmi_fuzz_raises_only_mbsr_errors(catalog):
+    sources = [export_xmi(load_corpus(CORPUS_DIR / f"{name}.mbsr", catalog,
+                                      clock=fixed_clock))
+               for name in ("asteroid", "tracechain", "verdicts")]
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(200):
+        text = _damage_xmi(rng, rng.choice(sources))
+        try:
+            import_xmi(text, catalog, clock=fixed_clock)
+            outcomes.add("imported")
+        except MbsrError as exc:
+            outcomes.add(type(exc).__name__)
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} escaped import_xmi for:\n{text}")
+    assert {"imported", "CorpusValidationError"} <= outcomes

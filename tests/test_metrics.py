@@ -1,5 +1,6 @@
 """Slot-completeness metric, history CSV, and burndown points."""
 
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,7 +15,7 @@ from mbsr import (
     record_metric,
     render_history_csv,
 )
-from mbsr.errors import MetricHistoryError, NoInstancesError, UnknownColumnError
+from mbsr.errors import MbsrError, MetricHistoryError, NoInstancesError, UnknownColumnError
 from mbsr.metrics import CSV_COLUMNS
 from tests.conftest import STAMP, fixed_clock
 
@@ -137,3 +138,50 @@ def test_metric_instance_is_frozen(metrics_model):
     inst = compute_slot_completeness(metrics_model, timestamp=T1)
     with pytest.raises(AttributeError):
         inst.total = 99
+
+
+_HISTORY_BAD_VALUES = ("", "x", "1.5", "-3", "nan", "inf", "1e999", "9" * 5000,
+                       "2026-13-01T00:00:00", "2026-01-01T00:00:00+25:00", "２", '"', "\r",
+                       "\x00", "a,b", '"quoted, value"', "timestamp")
+
+
+def _damage_history(rng, text):
+    """One to three random edits of a history CSV: garble, drop or add a
+    field, truncate, or insert a quote, a carriage return or a NUL."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(",")
+        edit = rng.randrange(5)
+        if edit == 0:
+            fields[rng.randrange(len(fields))] = rng.choice(_HISTORY_BAD_VALUES)
+        elif edit == 1:
+            del fields[rng.randrange(len(fields))]
+        elif edit == 2:
+            fields.insert(rng.randrange(len(fields) + 1), rng.choice(_HISTORY_BAD_VALUES))
+        lines[i] = ",".join(fields)
+        text = "\n".join(lines)
+        if edit == 3:
+            text = text[:rng.randrange(len(text) + 1)]
+        elif edit == 4:
+            j = rng.randrange(len(text) + 1)
+            text = text[:j] + rng.choice(('"', "\r", "\x00", "\n", ",")) + text[j:]
+    return text
+
+
+def test_load_history_csv_fuzz_raises_only_mbsr_errors(metrics_model):
+    history = [compute_slot_completeness(metrics_model, scope, timestamp=stamp)
+               for scope, stamp in ((None, T1), (None, T2), ("SYS", T2))]
+    source = render_history_csv(history)
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(400):
+        text = _damage_history(rng, source)
+        try:
+            load_history_csv(text)
+            outcomes.add("loaded")
+        except MbsrError as exc:
+            outcomes.add(type(exc).__name__)
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} escaped load_history_csv for:\n{text!r}")
+    assert {"loaded", "MetricHistoryError", "UnknownColumnError"} <= outcomes
