@@ -52,6 +52,7 @@ from .trace import add_link, kdr_view
 
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
 VerdictMap = dict[str, dict[str, Verdict]]  # expression id -> node id, as rules.verdict_map
+_VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
 # (slot key, text field, binding field) per slot
 _SLOT_FIELD_KEYS = tuple((key, key.lower(), f"{key.lower()}_ref") for key in SLOT_KEYS)
@@ -722,7 +723,6 @@ def export_reqif(model: Model, scope_id: str | None = None,
 
 # --- requirement table CSV ---
 
-_VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
 def _verdict_letter(model: Model, expr_id: str, node_id: str, verdicts: VerdictMap | None) -> str:
     """S, V or M (none) from the expression's entry in verdicts when it has one,
