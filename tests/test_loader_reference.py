@@ -1,8 +1,9 @@
 """Corpus loading: seeded equivalence with the reference loader.
 
-The reference below is the requirement and set loading of `loads_corpus` as
-first written (per-attribute decoding, per-key regex test, Enum-call kind
-lookup). Over seeded mutations of a corpus, `loads_corpus` must build the
+The reference below is `loads_corpus` as first written (per-attribute
+decoding, per-key regex test, Enum-call kind lookup, one error wrapper per
+model call), kept here in full so that it shares no loader code with the
+package. Over seeded mutations of a corpus, `loads_corpus` must build the
 same model or raise the same error, with the same message and line.
 """
 
@@ -14,28 +15,35 @@ import pytest
 
 from mbsr import AttributeDef, ValueKind, default_catalog, loads_corpus, serialize_corpus
 from mbsr.errors import CorpusValidationError, MbsrError
-from mbsr.interchange import (
-    BLOCK_KINDS,
-    _fill_set,
-    _load_element,
-    _load_link,
-    _load_term,
-    _wrap,
-)
+from mbsr.glossary import GlossaryTerm
 from mbsr.model import (
     AttributeValue,
+    ElementKind,
     ExpressionKind,
+    LinkKind,
     Model,
+    ModelElement,
     RequirementExpression,
     RequirementSet,
     SlotValue,
     StructuredStatement,
 )
+from mbsr.trace import add_link
 from tests.conftest import fixed_clock
 from tests.test_blockfile import reference_parse_blocks
 
+BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
 _SLOT_TEXT_KEYS = {f"sr{n}": f"SR{n}" for n in range(1, 6)}
 _SLOT_REF_KEYS = {f"sr{n}_ref": f"SR{n}" for n in range(1, 6)}
+
+
+def _wrap(block, exc):
+    return CorpusValidationError(
+        f"[{block.kind} {block.ident}] {type(exc).__name__}: {exc}", block.line)
+
+
+def _split_list(value):
+    return [item.strip() for item in value.split(",") if item.strip()]
 
 
 def _attribute_value(catalog, key, raw, block):
@@ -145,6 +153,85 @@ def _load_set_shell(model, block):
         raise _wrap(block, exc) from exc
 
 
+def _load_element(model, block):
+    known = {"name", "kind"}
+    for key in block.fields:
+        if key not in known:
+            raise CorpusValidationError(
+                f"[element {block.ident}] unknown key {key!r}",
+                block.field_lines.get(key, block.line))
+    try:
+        kind = ElementKind(block.fields.get("kind", "Other"))
+    except ValueError:
+        raise CorpusValidationError(
+            f"[element {block.ident}] unknown element kind {block.fields.get('kind')!r}",
+            block.line) from None
+    try:
+        model.add_element(ModelElement(block.ident, block.fields.get("name", block.ident), kind))
+    except MbsrError as exc:
+        raise _wrap(block, exc) from exc
+
+
+def _load_term(model, block):
+    known = {"definition", "source", "synonyms", "allocations"}
+    for key in block.fields:
+        if key not in known:
+            raise CorpusValidationError(
+                f"[term {block.ident}] unknown key {key!r}",
+                block.field_lines.get(key, block.line))
+    allocations = tuple(_split_list(block.fields.get("allocations", "")))
+    for element_id in allocations:
+        if not model.has_element(element_id):
+            raise CorpusValidationError(
+                f"[term {block.ident}] allocation {element_id!r} is not a known element",
+                block.line)
+    term = GlossaryTerm(
+        term=block.ident,
+        synonyms=tuple(_split_list(block.fields.get("synonyms", ""))),
+        definition=block.fields.get("definition", ""),
+        source=block.fields.get("source", ""),
+        allocations=allocations,
+    )
+    try:
+        model.glossary.add_term(term)
+    except MbsrError as exc:
+        raise _wrap(block, exc) from exc
+
+
+def _fill_set(model, block):
+    members = _split_list(block.fields.get("members", ""))
+    if not members:
+        return
+    try:
+        model.set_members(block.ident, members, touch=False)
+    except MbsrError as exc:
+        raise _wrap(block, exc) from exc
+
+
+def _load_link(model, block):
+    known = {"kind", "source", "target"}
+    for key in block.fields:
+        if key not in known:
+            raise CorpusValidationError(
+                f"[link {block.ident}] unknown key {key!r}",
+                block.field_lines.get(key, block.line))
+    missing = known - set(block.fields)
+    if missing:
+        raise CorpusValidationError(
+            f"[link {block.ident}] missing key(s) {sorted(missing)}", block.line)
+    try:
+        kind = LinkKind(block.fields["kind"])
+    except ValueError:
+        raise CorpusValidationError(
+            f"[link {block.ident}] unknown link kind {block.fields['kind']!r}",
+            block.line) from None
+    try:
+        add_link(model, kind, block.fields["source"], block.fields["target"],
+                 link_id=block.ident, touch=False)
+    except MbsrError as exc:
+        raise _wrap(block, exc) from exc
+
+
 def reference_loads_corpus(text, catalog=None, clock=None):
     model = Model(catalog=catalog, clock=clock)
     blocks = reference_parse_blocks(text)
@@ -179,6 +266,10 @@ kind = Mode
 
 [term Spacecraft]
 allocations = blk-sc
+
+[term Heaters]
+definition = Survival heaters
+synonyms = Heater
 
 [requirement R-1]
 text = The Spacecraft shall log Events within 1 s.
@@ -216,15 +307,23 @@ A01 = Top
 kind = Derive
 source = R-3
 target = R-1
+
+[link lk-2]
+kind = Refine
+source = mode-safe
+target = R-2
 """
 
 _KEYS = ("A01", "A08", "A14", "A15", "A30", "A34", "A99", "X02", "Xq", "Ab", "A", "B1", "x1",
          "kind", "pattern", "sr1", "sr1_ref", "sr4", "sr4_ref", "members", "name", "text",
-         "sr6")
+         "sr6", "source", "target", "definition", "synonyms", "allocations")
+# no Trace link kind: its discouraged-practice warning is an error under -W error
 _VALUES = ("", "High", "Low", "Bogus", "Draft", "Test", "not-a-date", "2026-01-01",
            "2026-01-01T00:00:00+00:00", "blk-sc", "mode-safe", "blk-none", "Need",
            "Requirement", "Wish", "Iso1", "Iso2", "Carson", "Nope", "Spacecraft",
-           "R-1", "R-2, R-3", "S-1", "TBD margin")
+           "R-1", "R-2, R-3", "S-1", "TBD margin", "Block", "Mode", "Gadget", "Derive",
+           "Refine", "Satisfy", "Copy", "Containment", "Relates", "R1", "R-9",
+           "R-1, R-1", "Heater", "Heaters, Heater")
 
 
 def _mutate(rng, text):
