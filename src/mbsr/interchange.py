@@ -60,6 +60,9 @@ _SLOT_FIELD_KEYS = tuple((key, key.lower(), f"{key.lower()}_ref") for key in SLO
 _REQUIREMENT_KEYS = frozenset({"name", "kind", "text", "pattern"}.union(
     *((low, ref) for _, low, ref in _SLOT_FIELD_KEYS)))
 _SET_KEYS = frozenset({"name", "kind", "members"})
+_ELEMENT_KEYS = frozenset({"name", "kind"})
+_TERM_KEYS = frozenset({"definition", "source", "synonyms", "allocations"})
+_LINK_KEYS = frozenset({"kind", "source", "target"})
 
 XMI_NS = "http://www.omg.org/spec/XMI/20131001"
 PROFILE = "Model_Based_Structured_Requirements_Profile"
@@ -78,9 +81,9 @@ XMI_SLOT_NAMES = {
 # --- corpus loading ---
 
 
-def _wrap(block: Block, exc: MbsrError) -> CorpusValidationError:
-    return CorpusValidationError(
-        f"[{block.kind} {block.ident}] {type(exc).__name__}: {exc}", block.line)
+def _entry_error(label: str, exc: MbsrError, line: int | None = None) -> CorpusValidationError:
+    """The model error raised while loading one entry, named by its label."""
+    return CorpusValidationError(f"{label} {type(exc).__name__}: {exc}", line)
 
 
 def _split_list(value: str) -> list[str]:
@@ -98,32 +101,27 @@ def _decode_attribute(attr_def: AttributeDef, raw: str) -> AttributeValue:
 _ATTRIBUTE_KEY_RE = re.compile(r"[AX][A-Za-z0-9]")
 
 
-def _load_element(model: Model, block: Block) -> None:
-    known = {"name", "kind"}
+def _check_keys(block: Block, known: frozenset[str]) -> None:
     for key in block.fields:
         if key not in known:
             raise CorpusValidationError(
-                f"[element {block.ident}] unknown key {key!r}",
+                f"[{block.kind} {block.ident}] unknown key {key!r}",
                 block.field_lines.get(key, block.line))
+
+
+def _load_element(model: Model, block: Block) -> None:
+    _check_keys(block, _ELEMENT_KEYS)
     try:
         kind = ElementKind(block.fields.get("kind", "Other"))
     except ValueError:
         raise CorpusValidationError(
             f"[element {block.ident}] unknown element kind {block.fields.get('kind')!r}",
             block.line) from None
-    try:
-        model.add_element(ModelElement(block.ident, block.fields.get("name", block.ident), kind))
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    model.add_element(ModelElement(block.ident, block.fields.get("name", block.ident), kind))
 
 
 def _load_term(model: Model, block: Block) -> None:
-    known = {"definition", "source", "synonyms", "allocations"}
-    for key in block.fields:
-        if key not in known:
-            raise CorpusValidationError(
-                f"[term {block.ident}] unknown key {key!r}",
-                block.field_lines.get(key, block.line))
+    _check_keys(block, _TERM_KEYS)
     allocations = tuple(_split_list(block.fields.get("allocations", "")))
     for element_id in allocations:
         if not model.has_element(element_id):
@@ -137,10 +135,7 @@ def _load_term(model: Model, block: Block) -> None:
         source=block.fields.get("source", ""),
         allocations=allocations,
     )
-    try:
-        model.glossary.add_term(term)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    model.glossary.add_term(term)
 
 
 def _expression_kind(block: Block) -> ExpressionKind:
@@ -172,10 +167,7 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
                 f"[{block.kind} {block.ident}] slot values given without a pattern",
                 block.line)
         return None
-    try:
-        return StructuredStatement(pattern, slot_values)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    return StructuredStatement(pattern, slot_values)
 
 
 def _read_attributes(catalog: Catalog, block: Block,
@@ -214,10 +206,7 @@ def _load_requirement(model: Model, block: Block) -> None:
         attributes=attributes,
         kind=_expression_kind(block),
     )
-    try:
-        model.add_expression(expr)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    model.add_expression(expr)
 
 
 def _load_set_shell(model: Model, block: Block) -> None:
@@ -227,30 +216,18 @@ def _load_set_shell(model: Model, block: Block) -> None:
         attributes=_read_attributes(model.catalog, block, _SET_KEYS),
         kind=_expression_kind(block),
     )
-    try:
-        model.add_set(rset)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    model.add_set(rset)
 
 
 def _fill_set(model: Model, block: Block) -> None:
     members = _split_list(block.fields.get("members", ""))
-    if not members:
-        return
-    try:
+    if members:
         model.set_members(block.ident, members, touch=False)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
 
 
 def _load_link(model: Model, block: Block) -> None:
-    known = {"kind", "source", "target"}
-    for key in block.fields:
-        if key not in known:
-            raise CorpusValidationError(
-                f"[link {block.ident}] unknown key {key!r}",
-                block.field_lines.get(key, block.line))
-    missing = known - set(block.fields)
+    _check_keys(block, _LINK_KEYS)
+    missing = _LINK_KEYS - block.fields.keys()
     if missing:
         raise CorpusValidationError(
             f"[link {block.ident}] missing key(s) {sorted(missing)}", block.line)
@@ -260,17 +237,29 @@ def _load_link(model: Model, block: Block) -> None:
         raise CorpusValidationError(
             f"[link {block.ident}] unknown link kind {block.fields['kind']!r}",
             block.line) from None
-    try:
-        add_link(model, kind, block.fields["source"], block.fields["target"],
-                 link_id=block.ident, touch=False)
-    except MbsrError as exc:
-        raise _wrap(block, exc) from exc
+    add_link(model, kind, block.fields["source"], block.fields["target"],
+             link_id=block.ident, touch=False)
+
+
+# (block kind, loader) per pass, in load order: set members and links need
+# every node they may name
+_PASSES = (
+    ("element", _load_element),
+    ("term", _load_term),
+    ("requirement", _load_requirement),
+    ("set", _load_set_shell),
+    ("set", _fill_set),
+    ("link", _load_link),
+)
 
 
 def loads_corpus(text: str, catalog: Catalog | None = None,
                  clock: Callable[[], datetime] | None = None,
                  model_uuid: uuid.UUID | None = None) -> Model:
-    """Build a fully validated model from corpus text."""
+    """Build a fully validated model from corpus text.
+
+    A model error from loading a block is re-raised as a
+    CorpusValidationError naming the block and its line."""
     model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
     blocks = parse_blocks(text)
     by_kind: dict[str, list[Block]] = {kind: [] for kind in BLOCK_KINDS}
@@ -279,18 +268,14 @@ def loads_corpus(text: str, catalog: Catalog | None = None,
             raise CorpusValidationError(
                 f"unknown block kind {block.kind!r}", block.line)
         by_kind[block.kind].append(block)
-    for block in by_kind["element"]:
-        _load_element(model, block)
-    for block in by_kind["term"]:
-        _load_term(model, block)
-    for block in by_kind["requirement"]:
-        _load_requirement(model, block)
-    for block in by_kind["set"]:
-        _load_set_shell(model, block)
-    for block in by_kind["set"]:
-        _fill_set(model, block)
-    for block in by_kind["link"]:
-        _load_link(model, block)
+    for kind, load in _PASSES:
+        for block in by_kind[kind]:
+            try:
+                load(model, block)
+            except CorpusValidationError:
+                raise
+            except MbsrError as exc:
+                raise _entry_error(f"[{block.kind} {block.ident}]", exc, block.line) from exc
     return model
 
 
@@ -492,13 +477,14 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     for entry in root:
         if entry.tag != q + "Named_Element":
             continue
+        label = f"element {entry.get('Id')!r}:"
         try:
             kind = ElementKind(entry.get("Kind", "Other"))
         except ValueError:
             raise CorpusValidationError(
-                f"element {entry.get('Id')!r}: unknown element kind "
-                f"{entry.get('Kind')!r}") from None
-        model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
+                f"{label} unknown element kind {entry.get('Kind')!r}") from None
+        with _naming(label):
+            model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
 
     def _read_attrs(entry) -> dict[str, AttributeValue]:
         out: dict[str, AttributeValue] = {}
@@ -550,7 +536,7 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 key: SlotValue(slot.text, bindings.get(key))
                 for key, slot in parsed.slots().items() if slot is not None})
         attributes = _read_attrs(entry)
-        with _naming(public):
+        with _naming(f"{public}:"):
             model.add_expression(RequirementExpression(
                 id=public, name=public, text=text_value, statement=statement,
                 attributes=attributes, kind=kind))
@@ -560,7 +546,7 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 else ExpressionKind.NEED)
         set_id = entry.get("Id", "")
         attributes = _read_attrs(entry)
-        with _naming(set_id):
+        with _naming(f"{set_id}:"):
             model.add_set(RequirementSet(
                 id=set_id, name=entry.get("Name", set_id), attributes=attributes,
                 kind=kind))
@@ -572,18 +558,18 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                     f"{entry.get('Id')}: member reference {ref!r} does not resolve")
             members.append(public_of[ref])
         if members:
-            with _naming(entry.get("Id", "")):
+            with _naming(f"{entry.get('Id', '')}:"):
                 model.set_members(entry.get("Id", ""), members, touch=False)
     return model
 
 
 @contextmanager
-def _naming(entry_id: str) -> Iterator[None]:
-    """Re-raise a model error from importing one XMI entry, naming the entry."""
+def _naming(label: str) -> Iterator[None]:
+    """Re-raise a model error from importing one XMI entry, named by label."""
     try:
         yield
     except MbsrError as exc:
-        raise CorpusValidationError(f"{entry_id}: {type(exc).__name__}: {exc}") from exc
+        raise _entry_error(label, exc) from exc
 
 
 # --- ReqIF-lite export ---

@@ -543,8 +543,21 @@ def test_import_xmi_fuzz_raises_only_mbsr_errors(catalog):
         try:
             import_xmi(text, catalog, clock=fixed_clock)
             outcomes.add("imported")
-        except MbsrError as exc:
-            outcomes.add(type(exc).__name__)
+        except CorpusValidationError:
+            outcomes.add("CorpusValidationError")
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__}: {exc} escaped import_xmi for:\n{text}")
-    assert {"imported", "CorpusValidationError"} <= outcomes
+    assert outcomes == {"imported", "CorpusValidationError"}
+
+
+def test_import_xmi_names_a_blank_or_repeated_element_id(catalog):
+    text = export_xmi(load_corpus(CORPUS_DIR / "tracechain.mbsr", catalog, clock=fixed_clock))
+    entry = re.search(r"  <\S+:Named_Element\n[^>]*Id='blk-controller'\n[^>]*/>\n", text).group(0)
+    blank = text.replace(entry, entry.replace("Id='blk-controller'", "Id=''"))
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(blank, catalog, clock=fixed_clock)
+    assert str(exc.value) == "element '': InvariantViolationError: bad element id ''"
+    repeated = text.replace(entry, entry * 2)
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(repeated, catalog, clock=fixed_clock)
+    assert str(exc.value).startswith("element 'blk-controller': DuplicateIdError: ")
