@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 
 from .catalog import SLOT_KEYS
 from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
@@ -70,13 +70,18 @@ def record_metric(model: Model, instance: MetricInstance) -> None:
     model.metric_history.append(instance)
 
 
+def _as_utc(instant: datetime) -> datetime:
+    return instant if instant.tzinfo is not None else instant.replace(tzinfo=timezone.utc)
+
+
 def burndown(history: list[MetricInstance], scope: str | None = None
              ) -> list[tuple[datetime, int]]:
-    """Open-item counts (total minus complete) over time for one scope."""
+    """Open-item counts (total minus complete) over time for one scope,
+    in time order; a timestamp without a UTC offset sorts as UTC."""
     rows = [m for m in history if scope is None or m.scope == scope]
     if not rows:
         raise NoInstancesError("no metric instances recorded for this scope")
-    rows.sort(key=lambda m: m.timestamp)
+    rows.sort(key=lambda m: _as_utc(m.timestamp))
     return [(m.timestamp, m.total - m.complete) for m in rows]
 
 
@@ -91,7 +96,10 @@ def render_history_csv(history: list[MetricInstance], header: bool = True) -> st
 
 
 def load_history_csv(text: str) -> list[MetricInstance]:
-    """Parse rows written by render_history_csv; the header row is optional."""
+    """Parse rows written by render_history_csv; the header row is optional.
+
+    Every count must lie between 0 and the row's total, and pct between 0
+    and 100."""
     history: list[MetricInstance] = []
     reader = csv.reader(io.StringIO(text))
     try:
@@ -101,7 +109,7 @@ def load_history_csv(text: str) -> list[MetricInstance]:
             if len(row) != len(CSV_COLUMNS):
                 raise UnknownColumnError(
                     f"metric row has {len(row)} columns, expected {len(CSV_COLUMNS)}")
-            history.append(MetricInstance(
+            instance = MetricInstance(
                 timestamp=datetime.fromisoformat(row[0]),
                 scope=row[1],
                 metric_type=row[2],
@@ -109,7 +117,14 @@ def load_history_csv(text: str) -> list[MetricInstance]:
                 slot_counts=tuple(int(n) for n in row[4:9]),
                 complete=int(row[9]),
                 pct=float(row[10]),
-            ))
+            )
+            if not all(0 <= n <= instance.total
+                       for n in (*instance.slot_counts, instance.complete)):
+                raise ValueError(
+                    f"counts {','.join(row[4:10])} must lie between 0 and total {row[3]}")
+            if not 0 <= instance.pct <= 100:  # false for nan too
+                raise ValueError(f"pct {row[10]!r} is not between 0 and 100")
+            history.append(instance)
     except (ValueError, csv.Error) as exc:
         raise MetricHistoryError(
             f"metric history line {reader.line_num}: {exc}") from None

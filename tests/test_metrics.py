@@ -1,6 +1,7 @@
 """Slot-completeness metric, history CSV, and burndown points."""
 
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -99,6 +100,14 @@ def test_burndown_filters_by_scope(metrics_model):
     assert len(points) == 1 and points[0][0] == T2
 
 
+def test_burndown_sorts_naive_timestamps_as_utc(metrics_model):
+    aware = compute_slot_completeness(metrics_model, timestamp=T2)
+    naive = compute_slot_completeness(metrics_model, timestamp=datetime(2026, 1, 15))
+    late_naive = compute_slot_completeness(metrics_model, timestamp=datetime(2026, 3, 1))
+    points = burndown([late_naive, aware, naive])
+    assert [stamp for stamp, _ in points] == [naive.timestamp, T2, late_naive.timestamp]
+
+
 def test_burndown_empty_history_raises():
     with pytest.raises(NoInstancesError):
         burndown([])
@@ -132,6 +141,25 @@ def test_csv_rejects_bad_values_naming_the_line(metrics_model):
     bad_count = ",".join(row[:3] + ["many"] + row[4:])
     with pytest.raises(MetricHistoryError, match="line 1.*many"):
         load_history_csv(bad_count + "\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("total", "-3", "must lie between 0 and total -3"),
+    ("sr2", "-1", "counts 5,-1,7,3,7,7 must lie between 0 and total 10"),
+    ("complete", "-1", "must lie between 0 and total 10"),
+    ("complete", "11", "must lie between 0 and total 10"),
+    ("sr4", "12", "must lie between 0 and total 10"),
+    ("pct", "nan", "pct 'nan' is not between 0 and 100"),
+    ("pct", "100.5", "pct '100.5' is not between 0 and 100"),
+    ("pct", "-0.01", "pct '-0.01' is not between 0 and 100"),
+])
+def test_csv_rejects_out_of_range_counts_naming_the_line(metrics_model, column, value,
+                                                          message):
+    good = render_history_csv([compute_slot_completeness(metrics_model, timestamp=T1)])
+    row = good.strip().split("\n")[1].split(",")
+    row[CSV_COLUMNS.index(column)] = value
+    with pytest.raises(MetricHistoryError, match="^metric history line 3: .*" + re.escape(message)):
+        load_history_csv(good + ",".join(row) + "\n")
 
 
 def test_metric_instance_is_frozen(metrics_model):
