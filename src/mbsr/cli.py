@@ -41,7 +41,6 @@ from .rules import Verdict, check_scope, verdict_map
 from .trace import bidirectional_trace
 
 _RULE_ORDER = sorted(AUTOMATED_RULE_IDS, key=lambda r: int(r[1:])) + [TBX_ID]
-_RULE_RANK = {rule_id: rank for rank, rule_id in enumerate(_RULE_ORDER)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +124,7 @@ def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
         expr = model.expression(expr_id)
         summary = " ".join(
             f"{f.rule_id}={'S' if f.verdict is Verdict.SATISFY else 'V'}"
-            for f in sorted(by_expr[expr_id], key=lambda f: _RULE_RANK[f.rule_id]))
+            for f in by_expr[expr_id])
         lines.append(f"{expr_id} {summary}")
         for finding in by_expr[expr_id]:
             if finding.verdict is not Verdict.VIOLATE:

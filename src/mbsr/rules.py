@@ -189,7 +189,8 @@ def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFind
 
 
 def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
-    """Findings for every non-set requirement in scope, in id order."""
+    """Findings for every non-set requirement in scope, in id order; each
+    requirement's findings come in rule-number order, then TBX."""
     checks = _enabled_checks(model.catalog)
     findings: list[RuleFinding] = []
     exprs = model.scope_expressions(scope_id)

@@ -20,10 +20,12 @@ from mbsr import (
     check_expression,
     check_scope,
     check_text,
+    load_catalog,
+    load_corpus,
     rollup,
 )
 from mbsr.rules import verdict_map
-from tests.conftest import FIXTURES_DIR, fixed_clock
+from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
 LABELED = json.loads((FIXTURES_DIR / "rules_labeled.json").read_text())["cases"]
 
@@ -108,8 +110,6 @@ def test_tbx_in_text_wins_over_attributes(catalog):
 
 
 def test_disabled_rule_is_skipped(tmp_path):
-    from mbsr import load_catalog
-
     cfg = tmp_path / "cat.cfg"
     cfg.write_text("[rule R16]\nenabled = false\n", encoding="utf-8")
     catalog = load_catalog(cfg)
@@ -128,10 +128,18 @@ def test_check_scope_skips_sets_and_needs(catalog):
     assert {f.expression_id for f in findings} == {"R-1"}
 
 
-def test_check_scope_orders_by_id(mixed_model):
-    findings = check_scope(mixed_model)
-    ids = [f.expression_id for f in findings]
-    assert ids == sorted(ids)
+def test_check_scope_orders_by_id(mixed_model, tmp_path):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[rule R2]\nenabled = false\n", encoding="utf-8")
+    no_r2 = load_corpus(CORPUS_DIR / "mixed.mbsr", load_catalog(cfg), clock=fixed_clock)
+    for model, rule_order in ((mixed_model, ["R1", "R2", "R10", "R16", TBX_ID]),
+                              (no_r2, ["R1", "R10", "R16", TBX_ID])):
+        findings = check_scope(model)
+        ids = [f.expression_id for f in findings]
+        assert ids == sorted(ids)
+        # within one requirement: rule-number order, then TBX
+        for expr_id in set(ids):
+            assert [f.rule_id for f in findings if f.expression_id == expr_id] == rule_order
 
 
 # --- verdict links ---
