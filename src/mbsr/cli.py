@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import warnings
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 from .catalog import AUTOMATED_RULE_IDS, TBX_ID, load_catalog
@@ -35,7 +35,7 @@ from .metrics import (
     record_metric,
     render_history_csv,
 )
-from .model import FIXED_EPOCH, Model
+from .model import FIXED_EPOCH, Model, as_utc
 from .parser import parse_statement
 from .rules import Verdict, check_scope, verdict_map
 from .trace import bidirectional_trace
@@ -102,12 +102,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _load_model(args: argparse.Namespace) -> Model:
     config_path = args.config or os.environ.get("MBSR_CONFIG")
     catalog = load_catalog(config_path) if config_path else None
-    if args.now:
-        instant = datetime.fromisoformat(args.now)
-        if instant.tzinfo is None:
-            instant = instant.replace(tzinfo=timezone.utc)
-    else:
-        instant = FIXED_EPOCH
+    instant = as_utc(datetime.fromisoformat(args.now)) if args.now else FIXED_EPOCH
     return load_corpus(args.corpus, catalog=catalog, clock=lambda: instant)
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 
 from .catalog import SLOT_KEYS
 from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
-from .model import Model
+from .model import Model, as_utc
 
 METRIC_TYPE = "slot_completeness"
 
@@ -70,10 +70,6 @@ def record_metric(model: Model, instance: MetricInstance) -> None:
     model.metric_history.append(instance)
 
 
-def _as_utc(instant: datetime) -> datetime:
-    return instant if instant.tzinfo is not None else instant.replace(tzinfo=timezone.utc)
-
-
 def burndown(history: list[MetricInstance], scope: str | None = None
              ) -> list[tuple[datetime, int]]:
     """Open-item counts (total minus complete) over time for one scope,
@@ -81,7 +77,7 @@ def burndown(history: list[MetricInstance], scope: str | None = None
     rows = [m for m in history if scope is None or m.scope == scope]
     if not rows:
         raise NoInstancesError("no metric instances recorded for this scope")
-    rows.sort(key=lambda m: _as_utc(m.timestamp))
+    rows.sort(key=lambda m: as_utc(m.timestamp))
     return [(m.timestamp, m.total - m.complete) for m in rows]
 
 

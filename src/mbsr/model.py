@@ -45,6 +45,11 @@ DEFAULT_MODEL_UUID = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 # wall-clock epoch used when a caller wants reproducible output
 FIXED_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
+
+def as_utc(instant: datetime) -> datetime:
+    """The instant, read as UTC when it carries no UTC offset."""
+    return instant if instant.tzinfo is not None else instant.replace(tzinfo=timezone.utc)
+
 _SLOT_INDEX = {key: i for i, key in enumerate(SLOT_KEYS)}
 
 
