@@ -3,7 +3,8 @@
 The on-disk shape shared by corpus files and catalog overrides: UTF-8 text,
 LF line endings, `[kind ident]` headers, `key = value` body lines, `<<<`/`>>>`
 fences for multi-line values, `#` comment lines, and a blank line closing each
-block. This module only tokenizes; meaning is assigned by the callers.
+block. A list value separates its items with commas. This module only
+tokenizes; meaning is assigned by the callers.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def parse_blocks(text: str) -> list[Block]:
     if fence_key is not None:
         raise CorpusSyntaxError(f"unterminated fence for key {fence_key!r}", fence_start)
     return blocks
+
+
+def split_list(value: str) -> tuple[str, ...]:
+    """The items of a comma-separated list value, stripped; empty items drop."""
+    return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
 def _write_value(out: list[str], key: str, value: str) -> None:

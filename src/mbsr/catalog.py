@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .blockfile import Block, parse_blocks
+from .blockfile import Block, parse_blocks, split_list
 from .errors import CatalogParseError, InvariantViolationError
 
 # Rules with a checker implementation; catalog automation flags must agree.
@@ -284,10 +284,6 @@ def _parse_bool(value: str, line: int) -> bool:
     raise CatalogParseError(f"expected boolean, got {value!r}", line)
 
 
-def _parse_list(value: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in value.split(",") if item.strip())
-
-
 def _override_rule(catalog: Catalog, block: Block) -> None:
     rid = block.ident
     if rid not in catalog.rules:
@@ -302,7 +298,7 @@ def _override_rule(catalog: Catalog, block: Block) -> None:
         elif key == "enabled":
             rule = replace(rule, enabled=_parse_bool(value, line))
         elif key == "contributes_to":
-            rule = replace(rule, contributes_to=frozenset(_parse_list(value)))
+            rule = replace(rule, contributes_to=frozenset(split_list(value)))
         elif key == "automation":
             try:
                 rule = replace(rule, automation=Automation(value))
@@ -310,7 +306,7 @@ def _override_rule(catalog: Catalog, block: Block) -> None:
                 raise CatalogParseError(f"unknown automation {value!r}", line) from None
         elif key in ("phrases", "participles"):
             params = dict(rule.params)
-            params[key] = _parse_list(value)
+            params[key] = split_list(value)
             rule = replace(rule, params=params)
         else:
             raise CatalogParseError(f"unknown rule field {key!r}", line)
@@ -340,7 +336,7 @@ def _override_attribute(catalog: Catalog, block: Block) -> None:
             except ValueError:
                 raise CatalogParseError(f"unknown value kind {value!r}", line) from None
         elif fkey == "values":
-            attr = replace(attr, value_set=_parse_list(value) or None)
+            attr = replace(attr, value_set=split_list(value) or None)
         else:
             raise CatalogParseError(f"unknown attribute field {fkey!r}", line)
     catalog.attributes[key] = attr
@@ -379,7 +375,7 @@ def _override_pattern(catalog: Catalog, block: Block) -> None:
         slot = key[:3].upper()
         if slot not in words:
             raise CatalogParseError(f"{pid} does not read {key}", line)
-        words[slot] = _parse_list(value)
+        words[slot] = split_list(value)
     catalog.patterns[pid] = replace(pattern, connective_words=words)
 
 

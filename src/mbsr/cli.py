@@ -245,9 +245,7 @@ def _cmd_glossary(model: Model, args: argparse.Namespace) -> int:
     element_names = {e.name for e in model.elements()}
     lines = []
     total = 0
-    for expr in sorted(model.scope_expressions(args.scope), key=lambda e: e.id):
-        if expr.is_set:
-            continue
+    for expr in model.scope_requirements(args.scope):
         undefined = find_undefined(expr.text, model.glossary, element_names)
         for token in undefined:
             lines.append(f"{expr.id}: {token}")

@@ -12,6 +12,17 @@ class MbsrError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class _LineError(MbsrError):
+    """An error in a line-oriented input; the message leads with the
+    1-based line when one is given."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
 # --- model store ---
 
 class DuplicateIdError(MbsrError):
@@ -48,12 +59,8 @@ class ReadOnlyCopyError(MbsrError):
 
 # --- catalog ---
 
-class CatalogParseError(MbsrError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class CatalogParseError(_LineError):
+    pass
 
 
 class InvariantViolationError(MbsrError):
@@ -67,8 +74,8 @@ class NoShallKeywordError(MbsrError):
 
 
 class EmptySlotError(MbsrError):
-    def __init__(self, slot: str, message: str | None = None):
-        super().__init__(message or f"slot {slot} is empty")
+    def __init__(self, slot: str):
+        super().__init__(f"slot {slot} is empty")
         self.slot = slot
 
 
@@ -126,18 +133,12 @@ class MetricHistoryError(MbsrError):
 
 # --- interchange ---
 
-class CorpusSyntaxError(MbsrError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class CorpusSyntaxError(_LineError):
+    pass
 
 
-class CorpusValidationError(MbsrError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class CorpusValidationError(_LineError):
+    pass
 
 
 class MappingMissingError(MbsrError):

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 from xml.etree import ElementTree
 
-from .blockfile import Block, parse_blocks, render_blocks
+from .blockfile import Block, parse_blocks, render_blocks, split_list
 from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Automation, Catalog, ValueKind
 from .errors import (
     CorpusValidationError,
@@ -86,10 +86,6 @@ def _entry_error(label: str, exc: MbsrError, line: int | None = None) -> CorpusV
     return CorpusValidationError(f"{label} {type(exc).__name__}: {exc}", line)
 
 
-def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
 def _decode_attribute(attr_def: AttributeDef, raw: str) -> AttributeValue:
     """Typed value of a stored attribute string; ValueError for a timestamp
     that is not ISO-8601."""
@@ -122,7 +118,7 @@ def _load_element(model: Model, block: Block) -> None:
 
 def _load_term(model: Model, block: Block) -> None:
     _check_keys(block, _TERM_KEYS)
-    allocations = tuple(_split_list(block.fields.get("allocations", "")))
+    allocations = split_list(block.fields.get("allocations", ""))
     for element_id in allocations:
         if not model.has_element(element_id):
             raise CorpusValidationError(
@@ -130,7 +126,7 @@ def _load_term(model: Model, block: Block) -> None:
                 block.line)
     term = GlossaryTerm(
         term=block.ident,
-        synonyms=tuple(_split_list(block.fields.get("synonyms", ""))),
+        synonyms=split_list(block.fields.get("synonyms", "")),
         definition=block.fields.get("definition", ""),
         source=block.fields.get("source", ""),
         allocations=allocations,
@@ -220,9 +216,9 @@ def _load_set_shell(model: Model, block: Block) -> None:
 
 
 def _fill_set(model: Model, block: Block) -> None:
-    members = _split_list(block.fields.get("members", ""))
+    members = split_list(block.fields.get("members", ""))
     if members:
-        model.set_members(block.ident, members, touch=False)
+        model.set_members(block.ident, list(members), touch=False)
 
 
 def _load_link(model: Model, block: Block) -> None:
@@ -381,11 +377,11 @@ def _xml_escape(value: str) -> str:
             .replace("\t", "&#9;"))
 
 
-def _xml_element(tag: str, attrs: list[tuple[str, str]], indent: str = "  ") -> str:
-    lines = [f"{indent}<{tag}"]
+def _xml_element(tag: str, attrs: list[tuple[str, str]]) -> str:
+    lines = [f"  <{tag}"]
     for name, value in attrs:
-        lines.append(f"{indent}    {name}='{_xml_escape(value)}'")
-    lines.append(f"{indent}/>")
+        lines.append(f"      {name}='{_xml_escape(value)}'")
+    lines.append("  />")
     return "\n".join(lines)
 
 
@@ -403,7 +399,7 @@ def export_xmi(model: Model, scope_id: str | None = None) -> str:
     attributes in ascending key order under mangled names. Attribute order
     is a documented normalization; emission is deterministic.
     """
-    exprs = sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
+    exprs = model.scope_expressions(scope_id)
     out: list[str] = [
         "<?xml version='1.0' encoding='UTF-8'?>",
         f"<xmi:XMI xmi:version='2.5' xmlns:xmi='{XMI_NS}' xmlns:{PROFILE}='{PROFILE_NS}'>",
@@ -451,7 +447,8 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     Statement slots are re-derived by parsing Text; slot bindings are then
     restored from the SRn references. Requirement names are not carried by
     the profile layout, so the public id doubles as the name. Trace links
-    are not part of the XMI surface.
+    are not part of the XMI surface. An error names the requirement or set
+    entry by its Id, or by its xmi:id when the Id is blank.
     """
     model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
     try:
@@ -486,7 +483,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
         with _naming(label):
             model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
 
-    def _read_attrs(entry) -> dict[str, AttributeValue]:
+    def _label(entry) -> str:
+        """The message prefix naming an entry: its Id, else its xmi:id."""
+        public = entry.get("Id")
+        return f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
+
+    def _read_attrs(entry, label: str) -> dict[str, AttributeValue]:
         out: dict[str, AttributeValue] = {}
         for name, raw in entry.attrib.items():
             if name in (xmi_id_key, "base_Class", "Id", "Text", "Name", "Members"):
@@ -495,13 +497,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 continue
             key = reverse_attr.get(name)
             if key is None:
-                raise CorpusValidationError(f"unknown profile attribute {name!r}")
+                raise CorpusValidationError(f"{label} unknown profile attribute {name!r}")
             try:
                 out[key] = _decode_attribute(model.catalog.attributes[key], raw)
             except ValueError:
                 raise CorpusValidationError(
-                    f"{entry.get('Id')!r}: {name} is not an ISO-8601 "
-                    f"timestamp: {raw!r}") from None
+                    f"{label} {name} is not an ISO-8601 timestamp: {raw!r}") from None
         return out
 
     set_entries = []
@@ -513,6 +514,7 @@ def import_xmi(text: str, catalog: Catalog | None = None,
         if local not in ("Requirement_Expression", "Need"):
             continue
         public = entry.get("Id", "")
+        label = _label(entry)
         text_value = entry.get("Text", "")
         kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Expression"
                 else ExpressionKind.NEED)
@@ -522,7 +524,7 @@ def import_xmi(text: str, catalog: Catalog | None = None,
             if ref is not None:
                 if ref not in public_of:
                     raise CorpusValidationError(
-                        f"{public}: slot reference {ref!r} does not resolve")
+                        f"{label} slot reference {ref!r} does not resolve")
                 bindings[key] = public_of[ref]
         statement = None
         if bindings:
@@ -530,13 +532,13 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 parsed, _ = parse_statement(text_value, None, model.catalog)
             except MbsrError as exc:
                 raise CorpusValidationError(
-                    f"{public}: slot references given but the text does not parse: "
+                    f"{label} slot references given but the text does not parse: "
                     f"{type(exc).__name__}: {exc}") from exc
             statement = StructuredStatement(parsed.pattern, {
                 key: SlotValue(slot.text, bindings.get(key))
                 for key, slot in parsed.slots().items() if slot is not None})
-        attributes = _read_attrs(entry)
-        with _naming(f"{public}:"):
+        attributes = _read_attrs(entry, label)
+        with _naming(label):
             model.add_expression(RequirementExpression(
                 id=public, name=public, text=text_value, statement=statement,
                 attributes=attributes, kind=kind))
@@ -545,20 +547,22 @@ def import_xmi(text: str, catalog: Catalog | None = None,
         kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Set"
                 else ExpressionKind.NEED)
         set_id = entry.get("Id", "")
-        attributes = _read_attrs(entry)
-        with _naming(f"{set_id}:"):
+        label = _label(entry)
+        attributes = _read_attrs(entry, label)
+        with _naming(label):
             model.add_set(RequirementSet(
                 id=set_id, name=entry.get("Name", set_id), attributes=attributes,
                 kind=kind))
     for entry, _ in set_entries:
+        label = _label(entry)
         members = []
         for ref in entry.get("Members", "").split():
             if ref not in public_of:
                 raise CorpusValidationError(
-                    f"{entry.get('Id')}: member reference {ref!r} does not resolve")
+                    f"{label} member reference {ref!r} does not resolve")
             members.append(public_of[ref])
         if members:
-            with _naming(f"{entry.get('Id', '')}:"):
+            with _naming(label):
                 model.set_members(entry.get("Id", ""), members, touch=False)
     return model
 
@@ -595,19 +599,17 @@ def _identifier(name: str) -> str:
 
 
 def export_reqif(model: Model, scope_id: str | None = None,
-                 mapping: dict[str, str] | None = None,
-                 created: datetime | None = None) -> str:
+                 mapping: dict[str, str] | None = None) -> str:
     """Minimal ReqIF: mapped attribute values and set hierarchy only.
 
     Slot structure flattens to the statement text and element references
     are dropped; that loss is inherent to the target format. Populated
     attributes without a mapping entry fail loudly rather than silently
-    dropping data.
+    dropping data. CREATION-TIME is the fixed epoch.
     """
     mapping = dict(mapping or {})
-    stamp = (created if created is not None else FIXED_EPOCH).isoformat()
-    exprs = [e for e in sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
-             if not e.is_set]
+    stamp = FIXED_EPOCH.isoformat()
+    exprs = model.scope_requirements(scope_id)
 
     used_names: list[str] = ["ReqIF.Text"]
     for expr in exprs:
@@ -754,8 +756,7 @@ def table_rows(model: Model, scope_id: str | None, columns: list[str],
         return _verdict_letter(model, expr.id, column, verdicts)
 
     return [[cell(expr, column) for column in columns]
-            for expr in sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
-            if not expr.is_set]
+            for expr in model.scope_requirements(scope_id)]
 
 
 def export_table(model: Model, scope_id: str | None, columns: list[str],
@@ -789,8 +790,7 @@ def _underline_terms(text: str, model: Model) -> str:
 
 
 def _overview_report(model: Model, scope_id: str | None) -> str:
-    exprs = [e for e in sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
-             if not e.is_set]
+    exprs = model.scope_requirements(scope_id)
     lines = ["# Requirements Overview", "",
              f"Scope: {scope_id if scope_id else 'all'}", "",
              "## Requirements", ""]

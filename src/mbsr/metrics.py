@@ -42,7 +42,7 @@ class MetricInstance:
 def compute_slot_completeness(model: Model, scope_id: str | None = None,
                               timestamp: datetime | None = None) -> MetricInstance:
     """Measure the scope now; the caller decides whether to record it."""
-    exprs = [e for e in model.scope_expressions(scope_id) if not e.is_set]
+    exprs = model.scope_requirements(scope_id)
     total = len(exprs)
     counts = [0, 0, 0, 0, 0]
     complete = 0
@@ -81,11 +81,10 @@ def burndown(history: list[MetricInstance], scope: str | None = None
     return [(m.timestamp, m.total - m.complete) for m in rows]
 
 
-def render_history_csv(history: list[MetricInstance], header: bool = True) -> str:
+def render_history_csv(history: list[MetricInstance]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if header:
-        writer.writerow(CSV_COLUMNS)
+    writer.writerow(CSV_COLUMNS)
     for instance in history:
         writer.writerow(instance.row())
     return out.getvalue()

@@ -154,7 +154,7 @@ class AttributeValue:
 
     def display(self) -> str:
         if isinstance(self.value, datetime):
-            return self.value.astimezone(timezone.utc).isoformat()
+            return as_utc(self.value).astimezone(timezone.utc).isoformat()
         return self.value
 
 
@@ -186,6 +186,7 @@ class TraceLink:
 
 
 _link_id = attrgetter("link_id")
+_expr_id = attrgetter("id")
 
 
 class Model:
@@ -230,7 +231,7 @@ class Model:
             raise UnknownIdError(f"unknown expression {expr_id!r}") from None
 
     def expressions(self) -> list[RequirementExpression]:
-        return sorted(self._expressions.values(), key=lambda e: e.id)
+        return sorted(self._expressions.values(), key=_expr_id)
 
     def display_name(self, any_id: str) -> str:
         if any_id in self._expressions:
@@ -297,28 +298,22 @@ class Model:
         self._elements[element.element_id] = element
 
     def add_expression(self, expr: RequirementExpression) -> None:
-        if isinstance(expr, RequirementSet):
-            self.add_set(expr)
-            return
+        """Add a requirement, or a set whose members then belong to it."""
         self._check_new_id(expr.id)
         for key, value in expr.attributes.items():
             self._validate_attribute(key, value)
         if expr.statement is not None:
             self._validate_statement(expr.statement)
+        if isinstance(expr, RequirementSet):
+            self._check_members(expr.id, expr.members)
+            for member in expr.members:
+                self._parent[member] = expr.id
         self._expressions[expr.id] = expr
 
     def add_set(self, rset: RequirementSet) -> None:
-        self._check_new_id(rset.id)
-        for key, value in rset.attributes.items():
-            self._validate_attribute(key, value)
-        if rset.statement is not None:
-            self._validate_statement(rset.statement)
-        self._check_members(rset.id, rset.members, new_set=True)
-        self._expressions[rset.id] = rset
-        for member in rset.members:
-            self._parent[member] = rset.id
+        self.add_expression(rset)
 
-    def _check_members(self, set_id: str, members: Iterable[str], new_set: bool) -> None:
+    def _check_members(self, set_id: str, members: Iterable[str]) -> None:
         seen: set[str] = set()
         for member in members:
             if member == set_id:
@@ -332,7 +327,7 @@ class Model:
             if parent is not None and parent != set_id:
                 raise KindConstraintViolationError(
                     f"member {member!r} is already contained in set {parent!r}")
-            if not new_set and self._reaches(member, set_id):
+            if self._reaches(member, set_id):
                 raise MembershipCycleError(
                     f"adding {member!r} to {set_id!r} would close a membership cycle")
 
@@ -357,17 +352,10 @@ class Model:
         rset = self.expression(set_id)
         if not isinstance(rset, RequirementSet):
             raise UnknownScopeError(f"{set_id!r} is not a set")
-        old = list(rset.members)
-        for member in old:
-            if member not in members:
+        self._check_members(set_id, members)
+        if members != rset.members:
+            for member in rset.members:
                 del self._parent[member]
-        try:
-            self._check_members(set_id, members, new_set=False)
-        except Exception:
-            for member in old:
-                self._parent[member] = set_id
-            raise
-        if members != old:
             rset.members = list(members)
             for member in members:
                 self._parent[member] = set_id
@@ -486,10 +474,15 @@ class Model:
         return out
 
     def scope_expressions(self, scope_id: str | None) -> list[RequirementExpression]:
-        """Expressions in scope: a set's transitive members, or all (sorted)."""
+        """Expressions in scope, in id order: a set's transitive members, or all."""
         if scope_id is None or scope_id == "all":
             return self.expressions()
-        return [self._expressions[i] for i in self.transitive_members(scope_id)]
+        return sorted(map(self._expressions.__getitem__, self.transitive_members(scope_id)),
+                      key=_expr_id)
+
+    def scope_requirements(self, scope_id: str | None) -> list[RequirementExpression]:
+        """The non-set expressions in scope, in id order."""
+        return [e for e in self.scope_expressions(scope_id) if not e.is_set]
 
     def containing_sets(self, expr_id: str) -> list[str]:
         """Ancestor set chain, nearest first."""

@@ -193,11 +193,9 @@ def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
     requirement's findings come in rule-number order, then TBX."""
     checks = _enabled_checks(model.catalog)
     findings: list[RuleFinding] = []
-    exprs = model.scope_expressions(scope_id)
-    for expr in sorted(exprs, key=lambda e: e.id):
-        if expr.is_set or expr.kind != ExpressionKind.REQUIREMENT:
-            continue
-        findings.extend(_check_expression(model, expr, checks))
+    for expr in model.scope_requirements(scope_id):
+        if expr.kind == ExpressionKind.REQUIREMENT:
+            findings.extend(_check_expression(model, expr, checks))
     return findings
 
 

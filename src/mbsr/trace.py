@@ -9,8 +9,8 @@ containment edges are synthesized from it on demand.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import (
     CycleDetectedError,
@@ -42,17 +42,23 @@ def _require_element(model: Model, any_id: str, role: str, kind: LinkKind) -> No
             f"{kind.value} {role} {any_id!r} must be a model element")
 
 
-def derive_reachable(model: Model, start: str, kind: LinkKind) -> set[str]:
-    """Ids reachable from start by following kind edges source-to-target."""
-    seen: set[str] = set()
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for link in model.links_from(current):
-            if link.kind == kind and link.target_id not in seen:
-                seen.add(link.target_id)
-                queue.append(link.target_id)
-    return seen
+def _layers(model: Model, start: str, kind: LinkKind,
+            reverse: bool = False) -> Iterator[list[str]]:
+    """Breadth-first layers of the closure from start over kind links,
+    source-to-target (target-to-source when reverse); each id comes once."""
+    seen = {start}
+    layer = [start]
+    while layer:
+        frontier, layer = layer, []
+        for node in frontier:
+            for link in model.links_to(node) if reverse else model.links_from(node):
+                if link.kind == kind:
+                    next_id = link.source_id if reverse else link.target_id
+                    if next_id not in seen:
+                        seen.add(next_id)
+                        layer.append(next_id)
+        if layer:
+            yield layer
 
 
 def synthesized_containment(model: Model) -> list[TraceLink]:
@@ -125,9 +131,11 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
                 raise KindConstraintViolationError(
                     f"{source_id!r} already mirrors {link.target_id!r}")
 
-    if kind in ACYCLIC_KINDS and source_id in derive_reachable(model, target_id, kind):
-        raise CycleDetectedError(
-            f"{kind.value} link {source_id} -> {target_id} would close a cycle")
+    if kind in ACYCLIC_KINDS:
+        for layer in _layers(model, target_id, kind):
+            if source_id in layer:
+                raise CycleDetectedError(
+                    f"{kind.value} link {source_id} -> {target_id} would close a cycle")
 
     link = TraceLink(link_id or model.next_link_id(), kind, source_id, target_id)
     model.store_link(link)
@@ -154,23 +162,14 @@ def remove_link(model: Model, link_id: str) -> None:
 
 def _bfs(model: Model, start: str, kind: LinkKind, reverse: bool,
          max_depth: int | None = None) -> list[str]:
-    """Transitive closure over one kind, BFS order, ties id-sorted per layer."""
+    """Transitive closure over one kind, BFS order, ties id-sorted per layer,
+    at most max_depth layers when given."""
     out: list[str] = []
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        layer: set[str] = set()
-        for node in frontier:
-            if reverse:
-                neighbors = [l.source_id for l in model.links_to(node) if l.kind == kind]
-            else:
-                neighbors = [l.target_id for l in model.links_from(node) if l.kind == kind]
-            layer.update(n for n in neighbors if n not in seen)
-        frontier = sorted(layer)
-        seen.update(frontier)
-        out.extend(frontier)
+    if max_depth is None or max_depth > 0:
+        for depth, layer in enumerate(_layers(model, start, kind, reverse), start=1):
+            out.extend(sorted(layer))
+            if depth == max_depth:
+                break
     return out
 
 
@@ -184,15 +183,6 @@ class TraceView:
     verified_by: list[str] = field(default_factory=list)
     refined_by: list[str] = field(default_factory=list)
     copies: list[str] = field(default_factory=list)
-
-    @property
-    def upstream(self) -> list[str]:
-        return self.derives_from + self.member_of
-
-    @property
-    def downstream(self) -> list[str]:
-        return (self.derived_by + self.satisfied_by + self.verified_by
-                + self.refined_by + self.copies)
 
 
 def bidirectional_trace(model: Model, expr_id: str,
@@ -237,20 +227,16 @@ class KdrRow:
 def kdr_view(model: Model, scope_id: str | None = None) -> list[KdrRow]:
     """Key and driving requirements (A38) with their derive chains."""
     rows: list[KdrRow] = []
-    for expr in model.scope_expressions(scope_id):
-        if expr.is_set:
-            continue
+    for expr in model.scope_requirements(scope_id):
         value = expr.attributes.get("A38")
         if value is None or value.value not in ("K", "D", "K+D"):
             continue
         rows.append(KdrRow(expr.id, str(value.value),
                            tuple(_bfs(model, expr.id, LinkKind.DERIVE, reverse=False))))
-    rows.sort(key=lambda r: r.expression_id)
     return rows
 
 
 def matrix_rows(model: Model, scope_id: str | None = None) -> list[TraceView]:
     """One TraceView per non-set expression in scope, id order."""
     return [bidirectional_trace(model, expr.id)
-            for expr in sorted(model.scope_expressions(scope_id), key=lambda e: e.id)
-            if not expr.is_set]
+            for expr in model.scope_requirements(scope_id)]

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 import uuid
 from dataclasses import replace
 
@@ -96,6 +97,26 @@ kind = Block
                      "[requirement R-A]", "[requirement R-B]", "[set S-1]"]
     # stored member order is meaningful and survives
     assert "members = R-B, R-A" in text
+
+
+@pytest.fixture()
+def new_york_local_time(monkeypatch):
+    """Local time five hours behind UTC in February, for one test. A POSIX
+    rule string, so no time zone database is needed."""
+    monkeypatch.setenv("TZ", "EST+05EDT,M3.2.0,M11.1.0")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_naive_timestamps_read_as_utc_in_any_local_zone(catalog, new_york_local_time):
+    assert time.timezone == 5 * 3600
+    model = loads_corpus("[requirement R-1]\n"
+                         "text = The System shall run within 1 s.\n"
+                         "A14 = 2001-02-03T04:05:06\n", catalog, clock=fixed_clock)
+    assert "A14 = 2001-02-03T04:05:06+00:00\n" in serialize_corpus(model)
+    assert "='2001-02-03T04:05:06+00:00'" in export_xmi(model)
 
 
 def test_save_corpus_writes_utf8(tmp_path, asteroid_model):
@@ -275,8 +296,10 @@ def test_xmi_import_rejects_bad_timestamp(catalog):
     xmi = export_xmi(model)
     stamp = model.get_attribute("R-1", "A14").display()
     assert stamp in xmi
-    with pytest.raises(CorpusValidationError, match="not-a-date"):
+    with pytest.raises(CorpusValidationError) as exc:
         import_xmi(xmi.replace(stamp, "not-a-date"), catalog)
+    name = mangled_attribute_name(catalog.attributes["A14"])
+    assert str(exc.value) == f"R-1: {name} is not an ISO-8601 timestamp: 'not-a-date'"
 
 
 def test_xmi_import_rejects_unresolved_member_ref(tracechain_model, catalog):
@@ -561,3 +584,22 @@ def test_import_xmi_names_a_blank_or_repeated_element_id(catalog):
     with pytest.raises(CorpusValidationError) as exc:
         import_xmi(repeated, catalog, clock=fixed_clock)
     assert str(exc.value).startswith("element 'blk-controller': DuplicateIdError: ")
+
+
+@pytest.mark.parametrize("public", ["L4-A", "SET-ALL"])
+def test_import_xmi_names_an_entry_with_a_blank_id_by_its_xmi_id(public, tracechain_model,
+                                                                 catalog):
+    xmi = export_xmi(tracechain_model)
+    assert f"Id='{public}'" in xmi
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(xmi.replace(f"Id='{public}'", "Id=''", 1), catalog, clock=fixed_clock)
+    xmi_id = internal_id(tracechain_model, public) + "_"
+    assert str(exc.value) == f"xmi:id '{xmi_id}': InvariantViolationError: bad id ''"
+
+
+def test_import_xmi_names_the_entry_with_an_unknown_attribute(tracechain_model, catalog):
+    xmi = export_xmi(tracechain_model)
+    bad = xmi.replace("A38_Key___Driving='D'", "A38_Key___Driving='D' Bogus_Name='x'", 1)
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(bad, catalog, clock=fixed_clock)
+    assert str(exc.value) == "L4-A: unknown profile attribute 'Bogus_Name'"

@@ -1,5 +1,9 @@
 """Per-node link indexes: they always agree with a filter of every stored
-link, and the per-node read paths never fall back to a full link scan."""
+link, and the per-node read paths never fall back to a full link scan.
+
+The random walk also edits set membership, adds expressions and sets, and
+edits copies; every rejected step must leave the corpus text unchanged, and
+the model invariants must hold after every step."""
 
 import random
 
@@ -12,16 +16,18 @@ from mbsr import (
     Model,
     ModelElement,
     RequirementExpression,
+    RequirementSet,
     apply_verdicts,
     bidirectional_trace,
     check_scope,
     export_table,
     generate_report,
     kdr_view,
+    serialize_corpus,
 )
 from mbsr import trace
 from mbsr.catalog import TBX_ID
-from mbsr.errors import CycleDetectedError, KindConstraintViolationError
+from mbsr.errors import CycleDetectedError, KindConstraintViolationError, ReadOnlyCopyError
 from tests.conftest import fixed_clock
 
 TEXTS = (
@@ -60,49 +66,112 @@ def build(catalog, n=10):
     return model
 
 
+def assert_model_invariants(model):
+    """No membership cycle, one parent per member that parent_set agrees
+    with, copies in sync with their sources, and no node with both a
+    Satisfy and a Violate link to one target."""
+    holders = {}
+    for rset in model.expressions():
+        for member in rset.members if rset.is_set else ():
+            assert member not in holders, f"{member} in {holders.get(member)} and {rset.id}"
+            holders[member] = rset.id
+    for expr in model.expressions():
+        assert model.parent_set(expr.id) == holders.get(expr.id)
+        assert expr.id not in model.containing_sets(expr.id)
+        source = model.copy_source_of(expr.id)
+        if source is not None:
+            assert expr.text == model.expression(source).text
+    for node_id in all_node_ids(model):
+        verdicts = {}
+        for link in model.links_from(node_id):
+            if link.kind in (LinkKind.SATISFY, LinkKind.VIOLATE):
+                verdicts.setdefault(link.target_id, set()).add(link.kind)
+        assert all(len(kinds) == 1 for kinds in verdicts.values()), (node_id, verdicts)
+
+
+def random_members(rng, reqs):
+    """A member list that may move members from other sets, close a cycle,
+    repeat a member or name an unknown one."""
+    members = rng.sample(reqs, rng.randint(0, min(4, len(reqs))))
+    if members and rng.random() < 0.2:
+        members.append(rng.choice(members))
+    if rng.random() < 0.1:
+        members.append("Q-unknown")
+    return members
+
+
+# the steps whose random input the model may reject; every other step must succeed
+MAY_BE_REJECTED = {"derive", "copy", "members", "contain", "add_set", "add_expression"}
+
+
 def random_step(model, rng):
-    """One random operation; rejected ones must leave the links unchanged."""
+    """One random operation; a rejected one must leave the corpus unchanged."""
     reqs = [e.id for e in model.expressions()]
+    sets = [e.id for e in model.expressions() if e.is_set]
     links = model.links()
+    before = serialize_corpus(model)
     op = rng.choice(("derive", "derive", "copy", "element", "remove", "apply",
-                     "edit", "cycle", "second_copy"))
-    if op in ("derive", "copy"):
-        kind = LinkKind.DERIVE if op == "derive" else LinkKind.COPY
-        source, target = rng.sample(reqs, 2)
-        # user-chosen ids, some past lnk-9999 where string order differs
-        link_id = rng.choice((None, f"lnk-{rng.randint(9995, 10005)}",
-                              f"zz-{rng.randint(0, 9)}"))
-        if link_id is not None and model.has_link(link_id):
-            link_id = None
-        try:
+                     "edit", "cycle", "second_copy", "members", "members",
+                     "contain", "add_set", "add_expression", "copy_edit"))
+    try:
+        if op in ("derive", "copy"):
+            kind = LinkKind.DERIVE if op == "derive" else LinkKind.COPY
+            source, target = rng.sample(reqs, 2)
+            # user-chosen ids, some past lnk-9999 where string order differs
+            link_id = rng.choice((None, f"lnk-{rng.randint(9995, 10005)}",
+                                  f"zz-{rng.randint(0, 9)}"))
+            if link_id is not None and model.has_link(link_id):
+                link_id = None
             trace.add_link(model, kind, source, target, link_id=link_id)
-        except MbsrError:
-            assert model.links() == links
-    elif op == "element":
-        kind = rng.choice((LinkKind.SATISFY, LinkKind.VERIFY, LinkKind.REFINE))
-        trace.add_link(model, kind, f"blk-{rng.randrange(3)}", rng.choice(reqs))
-    elif op == "remove" and links:
-        trace.remove_link(model, rng.choice(links).link_id)
-    elif op == "apply":
-        apply_verdicts(model, check_scope(model))
-    elif op == "edit":
-        sources = [r for r in reqs if not is_copy(model, r)]
-        model.set_text(rng.choice(sources), rng.choice(TEXTS) + f" #{rng.randrange(99)}")
-    elif op == "cycle":
-        derives = [l for l in links if l.kind == LinkKind.DERIVE]
-        if derives:
-            link = rng.choice(derives)
-            with pytest.raises(CycleDetectedError):
-                trace.add_link(model, LinkKind.DERIVE, link.target_id, link.source_id)
-            assert model.links() == links
-    elif op == "second_copy":
-        copies = [r for r in reqs if is_copy(model, r)]
-        if copies:
-            copy = rng.choice(copies)
-            other = rng.choice([r for r in reqs if r != copy])
-            with pytest.raises(KindConstraintViolationError):
-                trace.add_link(model, LinkKind.COPY, copy, other)
-            assert model.links() == links
+        elif op == "element":
+            kind = rng.choice((LinkKind.SATISFY, LinkKind.VERIFY, LinkKind.REFINE))
+            trace.add_link(model, kind, f"blk-{rng.randrange(3)}", rng.choice(reqs))
+        elif op == "remove":
+            every = trace.all_links(model)
+            if every:
+                trace.remove_link(model, rng.choice(every).link_id)
+        elif op == "apply":
+            apply_verdicts(model, check_scope(model))
+        elif op == "edit":
+            sources = [r for r in reqs if not is_copy(model, r)]
+            model.set_text(rng.choice(sources), rng.choice(TEXTS) + f" #{rng.randrange(99)}")
+        elif op == "cycle":
+            derives = [l for l in links if l.kind == LinkKind.DERIVE]
+            if derives:
+                link = rng.choice(derives)
+                with pytest.raises(CycleDetectedError):
+                    trace.add_link(model, LinkKind.DERIVE, link.target_id, link.source_id)
+                assert serialize_corpus(model) == before
+        elif op == "second_copy":
+            copies = [r for r in reqs if is_copy(model, r)]
+            if copies:
+                copy = rng.choice(copies)
+                other = rng.choice([r for r in reqs if r != copy])
+                with pytest.raises(KindConstraintViolationError):
+                    trace.add_link(model, LinkKind.COPY, copy, other)
+                assert serialize_corpus(model) == before
+        elif op == "members" and sets:
+            model.set_members(rng.choice(sets), random_members(rng, reqs))
+        elif op == "contain" and sets:
+            trace.add_link(model, LinkKind.CONTAINMENT, rng.choice(sets), rng.choice(reqs))
+        elif op in ("add_set", "add_expression"):
+            # a fresh id, or one an expression, element or rule node already holds
+            new_id = rng.choice((f"S-{len(reqs):02d}", f"S-{len(reqs):02d}",
+                                 rng.choice(reqs), "blk-1", "R1"))
+            if op == "add_expression":
+                model.add_expression(RequirementExpression(new_id, text=rng.choice(TEXTS)))
+            else:
+                add = rng.choice((model.add_set, model.add_expression))
+                add(RequirementSet(new_id, members=random_members(rng, reqs)))
+        elif op == "copy_edit":
+            copies = [r for r in reqs if is_copy(model, r)]
+            if copies:
+                with pytest.raises(ReadOnlyCopyError):
+                    model.set_text(rng.choice(copies), "The System shall stop.")
+                assert serialize_corpus(model) == before
+    except MbsrError:
+        assert op in MAY_BE_REJECTED, op
+        assert serialize_corpus(model) == before
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -112,10 +181,7 @@ def test_indexes_match_a_full_scan_after_every_step(seed, catalog):
     for _ in range(120):
         random_step(model, rng)
         assert_indexes_match_scan(model)
-        for expr in model.expressions():
-            source = model.copy_source_of(expr.id)
-            if source is not None:
-                assert expr.text == model.expression(source).text
+        assert_model_invariants(model)
 
 
 def test_indexes_order_user_link_ids_as_strings(catalog):
