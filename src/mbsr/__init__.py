@@ -5,201 +5,144 @@ model elements; automated writing rules check the statements; links, sets,
 metrics, and exporters make the collection a managed model rather than a
 document. Start with load_corpus or Model, then parse_statement,
 check_scope, and the exporters.
+
+Each public name, and each submodule, is imported on first use, so
+`import mbsr.errors` does not load the rest of the package.
 """
 
-from .catalog import (
-    AUTOMATED_RULE_IDS,
-    TBX_ID,
-    Applicability,
-    AttributeDef,
-    Automation,
-    Catalog,
-    CharacteristicDef,
-    Derivation,
-    PatternDef,
-    RuleDef,
-    ValueKind,
-    default_catalog,
-    load_catalog,
-    validate_catalog,
-)
-from .errors import (
-    CorpusSyntaxError,
-    CorpusValidationError,
-    CycleDetectedError,
-    DerivedAttributeError,
-    DuplicateIdError,
-    EmptySlotError,
-    InvalidAttributeTokenError,
-    InvariantViolationError,
-    KindConstraintViolationError,
-    MappingMissingError,
-    MbsrError,
-    MembershipCycleError,
-    MetricHistoryError,
-    MissingMandatorySlotError,
-    NoInstancesError,
-    NoShallKeywordError,
-    ReadOnlyCopyError,
-    SlotNotAllowedError,
-    TraceDiscouragedWarning,
-    UnknownColumnError,
-    UnknownEndpointError,
-    UnknownIdError,
-    UnknownRootError,
-    UnknownScopeError,
-)
-from .glossary import Glossary, GlossaryTerm, annotate, find_undefined
-from .interchange import (
-    export_dot,
-    export_reqif,
-    export_table,
-    export_xmi,
-    generate_report,
-    import_xmi,
-    load_attribute_mapping,
-    load_corpus,
-    loads_corpus,
-    save_corpus,
-    serialize_corpus,
-)
-from .metrics import (
-    MetricInstance,
-    burndown,
-    compute_slot_completeness,
-    load_history_csv,
-    record_metric,
-    render_history_csv,
-)
-from .model import (
-    DEFAULT_MODEL_UUID,
-    FIXED_EPOCH,
-    AttributeValue,
-    ElementKind,
-    ExpressionKind,
-    LinkKind,
-    Model,
-    ModelElement,
-    RequirementExpression,
-    RequirementSet,
-    SlotValue,
-    StructuredStatement,
-    TraceLink,
-)
-from .parser import ParseDiagnostics, count_shall, parse_statement, render_statement
-from .rules import (
-    RuleFinding,
-    Verdict,
-    apply_verdicts,
-    check_expression,
-    check_scope,
-    check_text,
-    rollup,
-)
-from .trace import (
-    KdrRow,
-    TraceView,
-    add_link,
-    all_links,
-    bidirectional_trace,
-    kdr_view,
-    matrix_rows,
-    remove_link,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTOMATED_RULE_IDS",
-    "Applicability",
-    "AttributeDef",
-    "AttributeValue",
-    "Automation",
-    "Catalog",
-    "CharacteristicDef",
-    "CorpusSyntaxError",
-    "CorpusValidationError",
-    "CycleDetectedError",
-    "DEFAULT_MODEL_UUID",
-    "Derivation",
-    "DerivedAttributeError",
-    "DuplicateIdError",
-    "ElementKind",
-    "EmptySlotError",
-    "ExpressionKind",
-    "FIXED_EPOCH",
-    "Glossary",
-    "GlossaryTerm",
-    "InvalidAttributeTokenError",
-    "InvariantViolationError",
-    "KdrRow",
-    "KindConstraintViolationError",
-    "LinkKind",
-    "MappingMissingError",
-    "MbsrError",
-    "MembershipCycleError",
-    "MetricHistoryError",
-    "MetricInstance",
-    "MissingMandatorySlotError",
-    "Model",
-    "ModelElement",
-    "NoInstancesError",
-    "NoShallKeywordError",
-    "ParseDiagnostics",
-    "PatternDef",
-    "ReadOnlyCopyError",
-    "RequirementExpression",
-    "RequirementSet",
-    "RuleDef",
-    "RuleFinding",
-    "SlotNotAllowedError",
-    "SlotValue",
-    "StructuredStatement",
-    "TBX_ID",
-    "TraceDiscouragedWarning",
-    "TraceLink",
-    "TraceView",
-    "UnknownColumnError",
-    "UnknownEndpointError",
-    "UnknownIdError",
-    "UnknownRootError",
-    "UnknownScopeError",
-    "ValueKind",
-    "Verdict",
-    "add_link",
-    "all_links",
-    "annotate",
-    "apply_verdicts",
-    "bidirectional_trace",
-    "burndown",
-    "check_expression",
-    "check_scope",
-    "check_text",
-    "compute_slot_completeness",
-    "count_shall",
-    "default_catalog",
-    "export_dot",
-    "export_reqif",
-    "export_table",
-    "export_xmi",
-    "find_undefined",
-    "generate_report",
-    "import_xmi",
-    "kdr_view",
-    "load_attribute_mapping",
-    "load_catalog",
-    "load_corpus",
-    "load_history_csv",
-    "loads_corpus",
-    "matrix_rows",
-    "parse_statement",
-    "record_metric",
-    "remove_link",
-    "render_history_csv",
-    "render_statement",
-    "rollup",
-    "save_corpus",
-    "serialize_corpus",
-    "validate_catalog",
-    "__version__",
-]
+# submodule -> the public names it exports from the package root
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "blockfile": (),
+    "catalog": (
+        "AUTOMATED_RULE_IDS",
+        "TBX_ID",
+        "Applicability",
+        "AttributeDef",
+        "Automation",
+        "Catalog",
+        "CharacteristicDef",
+        "Derivation",
+        "PatternDef",
+        "RuleDef",
+        "ValueKind",
+        "default_catalog",
+        "load_catalog",
+        "validate_catalog",
+    ),
+    "errors": (
+        "CorpusSyntaxError",
+        "CorpusValidationError",
+        "CycleDetectedError",
+        "DerivedAttributeError",
+        "DuplicateIdError",
+        "EmptySlotError",
+        "InvalidAttributeTokenError",
+        "InvariantViolationError",
+        "KindConstraintViolationError",
+        "MappingMissingError",
+        "MbsrError",
+        "MembershipCycleError",
+        "MetricHistoryError",
+        "MissingMandatorySlotError",
+        "NoInstancesError",
+        "NoShallKeywordError",
+        "ReadOnlyCopyError",
+        "SlotNotAllowedError",
+        "TraceDiscouragedWarning",
+        "UnknownColumnError",
+        "UnknownEndpointError",
+        "UnknownIdError",
+        "UnknownRootError",
+        "UnknownScopeError",
+    ),
+    "glossary": (
+        "Glossary",
+        "GlossaryTerm",
+        "annotate",
+        "find_undefined",
+    ),
+    "interchange": (
+        "export_dot",
+        "export_reqif",
+        "export_table",
+        "export_xmi",
+        "generate_report",
+        "import_xmi",
+        "load_attribute_mapping",
+        "load_corpus",
+        "loads_corpus",
+        "save_corpus",
+        "serialize_corpus",
+    ),
+    "metrics": (
+        "MetricInstance",
+        "burndown",
+        "compute_slot_completeness",
+        "load_history_csv",
+        "record_metric",
+        "render_history_csv",
+    ),
+    "model": (
+        "DEFAULT_MODEL_UUID",
+        "FIXED_EPOCH",
+        "AttributeValue",
+        "ElementKind",
+        "ExpressionKind",
+        "LinkKind",
+        "Model",
+        "ModelElement",
+        "RequirementExpression",
+        "RequirementSet",
+        "SlotValue",
+        "StructuredStatement",
+        "TraceLink",
+    ),
+    "parser": (
+        "ParseDiagnostics",
+        "count_shall",
+        "parse_statement",
+        "render_statement",
+    ),
+    "rules": (
+        "RuleFinding",
+        "Verdict",
+        "apply_verdicts",
+        "check_expression",
+        "check_scope",
+        "check_text",
+        "rollup",
+    ),
+    "textscan": (),
+    "trace": (
+        "KdrRow",
+        "TraceView",
+        "add_link",
+        "all_links",
+        "bidirectional_trace",
+        "kdr_view",
+        "matrix_rows",
+        "remove_link",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_OWNER), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

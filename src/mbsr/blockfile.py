@@ -105,6 +105,10 @@ def _write_value(out: list[str], key: str, value: str) -> None:
             if vline == FENCE_CLOSE:
                 raise CorpusValidationError(
                     f"value of {key!r} contains a fence terminator line and cannot be serialized")
+            # parse_blocks drops a carriage return at a line end
+            if vline.endswith("\r"):
+                raise CorpusValidationError(
+                    f"value of {key!r} has a line ending in a carriage return and cannot be serialized")
         out.append(f"{key} = {FENCE_OPEN}")
         out.extend(value.split("\n"))
         out.append(FENCE_CLOSE)

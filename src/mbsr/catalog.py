@@ -99,9 +99,12 @@ class AttributeDef:
 @dataclass(frozen=True)
 class PatternDef:
     pattern_id: str
-    slot_order: tuple[str, ...]
     # slot key -> leading keywords that introduce the slot in statement text
     connective_words: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def slot_order(self) -> tuple[str, ...]:
+        return PATTERNS[self.pattern_id].slot_order
 
 
 @dataclass
@@ -267,8 +270,6 @@ def validate_catalog(catalog: Catalog) -> None:
     if set(catalog.patterns) != set(PATTERNS):
         raise InvariantViolationError("pattern registry must hold exactly Iso1, Iso2, Carson")
     for pid, pattern in catalog.patterns.items():
-        if pattern.slot_order != PATTERNS[pid].slot_order:
-            raise InvariantViolationError(f"{pid}: slot order is fixed to {PATTERNS[pid].slot_order}")
         markers = pattern.connective_words
         if markers.keys() != _PATTERN_MARKERS[pid].keys() or not all(markers.values()):
             raise InvariantViolationError(
@@ -396,8 +397,7 @@ def load_catalog(config_path: str | Path | None = None) -> Catalog:
         rules=_default_rules(),
         characteristics={row[0]: CharacteristicDef(*row) for row in _CHARACTERISTIC_ROWS},
         attributes=_default_attributes(),
-        patterns={pid: PatternDef(pid, shape.slot_order, dict(_PATTERN_MARKERS[pid]))
-                  for pid, shape in PATTERNS.items()},
+        patterns={pid: PatternDef(pid, dict(_PATTERN_MARKERS[pid])) for pid in PATTERNS},
     )
     if config_path is not None:
         text = Path(config_path).read_text(encoding="utf-8")

@@ -15,7 +15,7 @@ import warnings
 from datetime import datetime
 from pathlib import Path
 
-from .catalog import AUTOMATED_RULE_IDS, TBX_ID, load_catalog
+from .catalog import TBX_ID, load_catalog
 from .errors import MbsrError, TraceDiscouragedWarning
 from .glossary import find_undefined
 from .interchange import (
@@ -37,10 +37,16 @@ from .metrics import (
 )
 from .model import FIXED_EPOCH, Model, as_utc
 from .parser import parse_statement
-from .rules import Verdict, check_scope, verdict_map
+from .rules import _CHECKERS, Verdict, check_scope, verdict_map
 from .trace import bidirectional_trace
 
-_RULE_ORDER = sorted(AUTOMATED_RULE_IDS, key=lambda r: int(r[1:])) + [TBX_ID]
+
+def non_negative_int(value: str) -> int:
+    """The --depth value: an integer, 0 or more."""
+    depth = int(value)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {depth}")
+    return depth
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="bidirectional trace for a requirement")
     p_trace.add_argument("req_id", help="expression id")
-    p_trace.add_argument("--depth", type=int, help="maximum derive distance")
+    p_trace.add_argument("--depth", type=non_negative_int, help="maximum derive distance")
 
     p_matrix = sub.add_parser("matrix", help="verdict matrix for the scope")
     p_matrix.add_argument("--format", choices=("csv", "md"), default="csv")
@@ -192,7 +198,8 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
-    columns = ["id"] + _RULE_ORDER
+    # every automated rule keeps its column, a disabled one too
+    columns = ["id", *_CHECKERS, TBX_ID]
     verdicts = verdict_map(check_scope(model, args.scope))
     if args.format == "csv":
         _emit(export_table(model, args.scope, columns, verdicts), args.out)

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from xml.etree import ElementTree
 
 from .blockfile import Block, parse_blocks, render_blocks, split_list
-from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Automation, Catalog, ValueKind
+from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Catalog, ValueKind
 from .errors import (
     CorpusValidationError,
     InvariantViolationError,
@@ -47,7 +47,7 @@ from .model import (
     StructuredStatement,
 )
 from .parser import parse_statement
-from .rules import TBX_RE, Verdict
+from .rules import TBX_RE, Verdict, _enabled_checks
 from .trace import add_link, kdr_view
 
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
@@ -842,10 +842,8 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
     else:
         set_ids = [e.id for e in model.expressions() if e.is_set]
 
-    node_ids = [rid for rid, rule in sorted(model.catalog.rules.items(),
-                                            key=lambda kv: int(kv[0][1:]))
-                if rule.automation == Automation.AUTOMATED and rule.enabled]
-    node_ids.append(TBX_ID)
+    # only the rules that run get a column
+    node_ids = [rid for rid, _, _ in _enabled_checks(model.catalog)] + [TBX_ID]
 
     lines = ["# Set Review", ""]
     if not set_ids:

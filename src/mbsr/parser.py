@@ -38,8 +38,6 @@ class ParseDiagnostics:
     shall_count: int = 0
     unconsumed: list[Span] = field(default_factory=list)
     slot_spans: dict[str, Span] = field(default_factory=dict)
-    # (start, end, label) for articles, commas, 'shall', 'under', final period
-    connective_spans: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 @cache
@@ -109,7 +107,7 @@ class _Decomposition(NamedTuple):
     pattern: str
     shall_idxs: list[int]           # token indexes of every 'shall'
     slot_spans: dict[str, Span]
-    connectives: list[tuple[int, int, str]]
+    connectives: list[Span]         # articles, commas, 'shall', 'under', final period
 
 
 def _decompose(text: str, tokens: list[Token], lower: list[str],
@@ -124,7 +122,7 @@ def _decompose(text: str, tokens: list[Token], lower: list[str],
         raise NoShallKeywordError(f"no 'shall' keyword in {text!r}")
     shall = shall_idxs[0]
 
-    connectives: list[tuple[int, int, str]] = []
+    connectives: list[Span] = []
     slot_spans: dict[str, Span] = {}
 
     # five-slot form: leading condition keyword, comma before the first shall
@@ -140,18 +138,18 @@ def _decompose(text: str, tokens: list[Token], lower: list[str],
             if cond_last >= 0:
                 iso2 = True
                 slot_spans["SR1"] = _span_of(tokens, 0, cond_last)
-                connectives.append((comma_pos, comma_pos + 1, ","))
+                connectives.append((comma_pos, comma_pos + 1))
                 region_start = cond_last + 1
 
     # subject region, one leading article stripped
     if region_start < shall and tokens[region_start].text in ARTICLES:
         art = tokens[region_start]
-        connectives.append((art.start, art.end, "article"))
+        connectives.append((art.start, art.end))
         region_start += 1
     if region_start >= shall:
         raise EmptySlotError("SR2")
     slot_spans["SR2"] = _span_of(tokens, region_start, shall - 1)
-    connectives.append((tokens[shall].start, tokens[shall].end, "shall"))
+    connectives.append((tokens[shall].start, tokens[shall].end))
 
     action = shall + 1
     if action >= len(tokens):
@@ -183,7 +181,7 @@ def _decompose(text: str, tokens: list[Token], lower: list[str],
             slot_spans["SR3"] = _span_of(tokens, action, marker - 1)
             slot_spans["SR5"] = _span_of(tokens, marker, trailing - 1)
             kw = tokens[trailing]
-            connectives.append((kw.start, kw.end, lower[trailing]))
+            connectives.append((kw.start, kw.end))
             slot_spans["SR1"] = _span_of(tokens, trailing + 1, len(tokens) - 1)
         else:
             pattern = "Iso1"
@@ -192,7 +190,7 @@ def _decompose(text: str, tokens: list[Token], lower: list[str],
 
     stripped = text.rstrip()
     if stripped.endswith("."):
-        connectives.append((len(stripped) - 1, len(stripped), "."))
+        connectives.append((len(stripped) - 1, len(stripped)))
     return _Decomposition(pattern, shall_idxs, slot_spans, connectives)
 
 
@@ -205,14 +203,13 @@ def parse_statement(text: str, glossary: Glossary | None = None,
     parts = _decompose(text, tokens, [t.text.lower() for t in tokens], catalog)
 
     slot_spans = parts.slot_spans
-    covered = list(slot_spans.values()) + [(s, e) for s, e, _ in parts.connectives]
+    covered = list(slot_spans.values()) + parts.connectives
     diag = ParseDiagnostics(
         matched_pattern=parts.pattern,
         shall_count=len(parts.shall_idxs),
         unconsumed=_uncovered(text, covered),
         slot_spans={key: slot_spans[key]
                     for key in catalog.patterns[parts.pattern].slot_order},
-        connective_spans=sorted(parts.connectives),
     )
 
     values: dict[str, SlotValue] = {}

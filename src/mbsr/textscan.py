@@ -20,7 +20,6 @@ class Token(NamedTuple):
     text: str    # token with trailing punctuation stripped
     start: int   # offset of text start in the source string
     end: int     # offset just past the stripped text
-    raw_end: int # offset just past the raw token (including stripped punctuation)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -29,5 +28,5 @@ def tokenize(text: str) -> list[Token]:
         stripped = m[0].rstrip(_TRAILING_PUNCT)
         if stripped:
             start = m.start()
-            tokens.append(_new_token(Token, (stripped, start, start + len(stripped), m.end())))
+            tokens.append(_new_token(Token, (stripped, start, start + len(stripped))))
     return tokens

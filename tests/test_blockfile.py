@@ -106,6 +106,19 @@ def test_render_rejects_fence_terminator_in_value():
         render_blocks([block])
 
 
+@pytest.mark.parametrize("value", ["run within 1 s.\r", "two\r\nlines", " a\rb\r"])
+def test_render_rejects_carriage_return_at_line_end(value):
+    # the reader drops it, so the value would not survive a round trip
+    block = Block("requirement", "r", 1, {"text": value})
+    with pytest.raises(CorpusValidationError, match="'text' has a line ending in a carriage"):
+        render_blocks([block])
+
+
+def test_render_keeps_carriage_return_inside_a_line():
+    block = Block("requirement", "r", 1, {"text": "a\rb"})
+    assert parse_blocks(render_blocks([block]))[0].fields["text"] == "a\rb"
+
+
 # --- seeded equivalence with the reference reader ---
 
 _REFERENCE_HEADER = re.compile(r"^\[([a-z]+) ([^\]\s]+)\]$")

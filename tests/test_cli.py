@@ -139,6 +139,19 @@ def test_trace_depth_option(capsys):
     assert "derives_from: L4-A\n" in out
 
 
+def test_trace_depth_zero_lists_no_derive_links(capsys):
+    code, out, err = run(capsys, "--corpus", TRACECHAIN, "trace", "L5-A", "--depth", "0")
+    assert code == 0
+    assert "derives_from: -\n" in out
+
+
+def test_trace_negative_depth_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--corpus", TRACECHAIN, "trace", "L5-A", "--depth", "-1"])
+    assert exc.value.code == 2
+    assert "argument --depth: must be 0 or more, got -1" in capsys.readouterr().err
+
+
 def test_trace_unknown_root_exits_two(capsys):
     code, out, err = run(capsys, "--corpus", TRACECHAIN, "trace", "ghost")
     assert code == 2

@@ -227,6 +227,13 @@ def test_loading_a_diverged_copy_syncs_text_without_stamping_a14(catalog):
     assert model.get_attribute("R-2", "A14").value == fixed_clock()
 
 
+def test_serialize_rejects_text_ending_in_carriage_return(catalog):
+    model = loads_corpus(COPY_CORPUS, catalog, clock=fixed_clock)
+    model.set_text("R-1", "The System shall run within 1 s.\r")
+    with pytest.raises(CorpusValidationError, match="'text' has a line ending"):
+        serialize_corpus(model)
+
+
 # --- XMI export ---
 
 

@@ -18,7 +18,7 @@ def reference_tokenize(text):
         stripped = raw.rstrip(".,;:!?")
         if not stripped:
             continue
-        tokens.append(Token(stripped, m.start(), m.start() + len(stripped), m.end()))
+        tokens.append(Token(stripped, m.start(), m.start() + len(stripped)))
     return tokens
 
 
