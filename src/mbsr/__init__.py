@@ -116,6 +116,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "check_text",
         "rollup",
     ),
+    "records": (),
     "textscan": (),
     "trace": (
         "KdrRow",

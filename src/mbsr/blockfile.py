@@ -10,9 +10,9 @@ tokenizes; meaning is assigned by the callers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import CorpusSyntaxError, CorpusValidationError
+from .records import Record
 
 _HEADER_RE = re.compile(r"^\[([a-z]+) ([^\]\s]+)\]$")
 
@@ -20,13 +20,15 @@ FENCE_OPEN = "<<<"
 FENCE_CLOSE = ">>>"
 
 
-@dataclass
-class Block:
-    kind: str
-    ident: str
-    line: int                                   # 1-based line of the header
-    fields: dict[str, str] = field(default_factory=dict)
-    field_lines: dict[str, int] = field(default_factory=dict)
+class Block(Record):
+    __slots__ = _fields = ("kind", "ident", "line", "fields", "field_lines")
+
+    def __init__(self, kind: str, ident: str, line: int, fields: dict[str, str] | None = None,
+                 field_lines: dict[str, int] | None = None):
+        self.kind, self.ident = kind, ident
+        self.line = line  # 1-based line of the header
+        self.fields = {} if fields is None else fields
+        self.field_lines = {} if field_lines is None else field_lines
 
 
 def parse_blocks(text: str) -> list[Block]:

@@ -9,13 +9,13 @@ in the block format (see blockfile).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .blockfile import Block, parse_blocks, split_list
 from .errors import CatalogParseError, InvariantViolationError
+from .records import Record
 
 # Rules with a checker implementation; catalog automation flags must agree.
 AUTOMATED_RULE_IDS = frozenset({"R1", "R2", "R10", "R16"})
@@ -64,20 +64,19 @@ class ValueKind(Enum):
     TIMESTAMP = "Timestamp"
 
 
-@dataclass(frozen=True)
-class RuleDef:
+class RuleDef(NamedTuple):
     rule_id: str
     name: str
     description: str
     automation: Automation
     contributes_to: frozenset[str] = frozenset()
     enabled: bool = True
-    # checker tuning knobs, e.g. phrase lists; keys depend on the rule
-    params: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # checker tuning knobs, e.g. phrase lists; keys depend on the rule. The
+    # default dict is shared by every RuleDef built without one: never mutate it.
+    params: dict[str, tuple[str, ...]] = {}
 
 
-@dataclass(frozen=True)
-class CharacteristicDef:
+class CharacteristicDef(NamedTuple):
     characteristic_id: str
     name: str
     applicability: Applicability
@@ -86,8 +85,7 @@ class CharacteristicDef:
     iso_mapped: bool
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(NamedTuple):
     attribute_key: str
     name: str
     group: str = ""
@@ -96,25 +94,29 @@ class AttributeDef:
     value_set: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class PatternDef:
+class PatternDef(NamedTuple):
     pattern_id: str
-    # slot key -> leading keywords that introduce the slot in statement text
-    connective_words: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # slot key -> leading keywords that introduce the slot in statement text;
+    # the default dict is shared, as RuleDef.params is
+    connective_words: dict[str, tuple[str, ...]] = {}
 
     @property
     def slot_order(self) -> tuple[str, ...]:
         return PATTERNS[self.pattern_id].slot_order
 
 
-@dataclass
-class Catalog:
-    rules: dict[str, RuleDef]
-    characteristics: dict[str, CharacteristicDef]
-    attributes: dict[str, AttributeDef]
-    patterns: dict[str, PatternDef]
-    case_insensitive_terms: bool = False
-    forbid_trace_links: bool = False
+class Catalog(Record):
+    __slots__ = _fields = ("rules", "characteristics", "attributes", "patterns",
+                           "case_insensitive_terms", "forbid_trace_links")
+
+    def __init__(self, rules: dict[str, RuleDef],
+                 characteristics: dict[str, CharacteristicDef],
+                 attributes: dict[str, AttributeDef], patterns: dict[str, PatternDef],
+                 case_insensitive_terms: bool = False, forbid_trace_links: bool = False):
+        self.rules, self.characteristics = rules, characteristics
+        self.attributes, self.patterns = attributes, patterns
+        self.case_insensitive_terms = case_insensitive_terms
+        self.forbid_trace_links = forbid_trace_links
 
     def characteristics_for(self, applicability: Applicability) -> list[CharacteristicDef]:
         return [c for c in self.characteristics.values() if c.applicability == applicability]
@@ -293,22 +295,22 @@ def _override_rule(catalog: Catalog, block: Block) -> None:
     for key, value in block.fields.items():
         line = block.field_lines[key]
         if key == "name":
-            rule = replace(rule, name=value)
+            rule = rule._replace(name=value)
         elif key == "description":
-            rule = replace(rule, description=value)
+            rule = rule._replace(description=value)
         elif key == "enabled":
-            rule = replace(rule, enabled=_parse_bool(value, line))
+            rule = rule._replace(enabled=_parse_bool(value, line))
         elif key == "contributes_to":
-            rule = replace(rule, contributes_to=frozenset(split_list(value)))
+            rule = rule._replace(contributes_to=frozenset(split_list(value)))
         elif key == "automation":
             try:
-                rule = replace(rule, automation=Automation(value))
+                rule = rule._replace(automation=Automation(value))
             except ValueError:
                 raise CatalogParseError(f"unknown automation {value!r}", line) from None
         elif key in ("phrases", "participles"):
             params = dict(rule.params)
             params[key] = split_list(value)
-            rule = replace(rule, params=params)
+            rule = rule._replace(params=params)
         else:
             raise CatalogParseError(f"unknown rule field {key!r}", line)
     catalog.rules[rid] = rule
@@ -326,18 +328,18 @@ def _override_attribute(catalog: Catalog, block: Block) -> None:
     for fkey, value in block.fields.items():
         line = block.field_lines[fkey]
         if fkey == "name":
-            attr = replace(attr, name=value)
+            attr = attr._replace(name=value)
         elif fkey == "group":
-            attr = replace(attr, group=value)
+            attr = attr._replace(group=value)
         elif fkey == "minimum":
-            attr = replace(attr, minimum_set=_parse_bool(value, line))
+            attr = attr._replace(minimum_set=_parse_bool(value, line))
         elif fkey == "kind":
             try:
-                attr = replace(attr, value_kind=ValueKind(value))
+                attr = attr._replace(value_kind=ValueKind(value))
             except ValueError:
                 raise CatalogParseError(f"unknown value kind {value!r}", line) from None
         elif fkey == "values":
-            attr = replace(attr, value_set=split_list(value) or None)
+            attr = attr._replace(value_set=split_list(value) or None)
         else:
             raise CatalogParseError(f"unknown attribute field {fkey!r}", line)
     catalog.attributes[key] = attr
@@ -352,10 +354,10 @@ def _override_characteristic(catalog: Catalog, block: Block) -> None:
     for key, value in block.fields.items():
         line = block.field_lines[key]
         if key == "name":
-            char = replace(char, name=value)
+            char = char._replace(name=value)
         elif key == "derivation":
             try:
-                char = replace(char, derivation=Derivation(value))
+                char = char._replace(derivation=Derivation(value))
             except ValueError:
                 raise CatalogParseError(f"unknown derivation {value!r}", line) from None
         else:
@@ -377,7 +379,7 @@ def _override_pattern(catalog: Catalog, block: Block) -> None:
         if slot not in words:
             raise CatalogParseError(f"{pid} does not read {key}", line)
         words[slot] = split_list(value)
-    catalog.patterns[pid] = replace(pattern, connective_words=words)
+    catalog.patterns[pid] = pattern._replace(connective_words=words)
 
 
 def _override_flags(catalog: Catalog, block: Block) -> None:

@@ -16,7 +16,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .catalog import TBX_ID, load_catalog
-from .errors import MbsrError, TraceDiscouragedWarning
+from .errors import MbsrError, TraceDiscouragedWarning, UnknownIdError
 from .glossary import find_undefined
 from .interchange import (
     export_dot,
@@ -29,16 +29,11 @@ from .interchange import (
     serialize_corpus,
     table_rows,
 )
-from .metrics import (
-    compute_slot_completeness,
-    load_history_csv,
-    record_metric,
-    render_history_csv,
-)
 from .model import FIXED_EPOCH, Model, as_utc
-from .parser import parse_statement
-from .rules import _CHECKERS, Verdict, check_scope, verdict_map
 from .trace import bidirectional_trace
+
+# The commands that run the rule checkers, the parser or the metrics import
+# them inside, so that `validate` and the exporters start sooner.
 
 
 def non_negative_int(value: str) -> int:
@@ -115,6 +110,8 @@ def _load_model(args: argparse.Namespace) -> Model:
 def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
     # Output comes from the findings alone; verdict links would be stored in
     # a model that is thrown away at exit, so none are applied.
+    from .rules import Verdict, check_scope
+
     findings = check_scope(model, args.scope)
     lines: list[str] = []
     violations = 0
@@ -140,7 +137,11 @@ def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(model: Model, args: argparse.Namespace) -> int:
+    from .parser import parse_statement
+
     expr = model.expression(args.req_id)
+    if expr.is_set:
+        raise UnknownIdError(f"{expr.id!r} is a set; parse takes a requirement id")
     lines = [f"id: {expr.id}", f"text: {expr.text}"]
     try:
         statement, diag = parse_statement(expr.text, model.glossary, model.catalog)
@@ -166,6 +167,9 @@ def _cmd_parse(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(model: Model, args: argparse.Namespace) -> int:
+    from .metrics import (compute_slot_completeness, load_history_csv, record_metric,
+                          render_history_csv)
+
     instance = compute_slot_completeness(model, args.scope)
     record_metric(model, instance)
     if args.history:
@@ -198,6 +202,8 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
+    from .rules import _CHECKERS, check_scope, verdict_map
+
     # every automated rule keeps its column, a disabled one too
     columns = ["id", *_CHECKERS, TBX_ID]
     verdicts = verdict_map(check_scope(model, args.scope))
@@ -225,8 +231,10 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
             columns = ["id", "name", "text", "SR1", "SR2", "SR3", "SR4", "SR5"]
         _emit(export_table(model, args.scope, columns), args.out)
     elif args.format == "md":
-        verdicts = (verdict_map(check_scope(model, args.scope))
-                    if args.template == "SetReview" else None)
+        verdicts = None
+        if args.template == "SetReview":
+            from .rules import check_scope, verdict_map
+            verdicts = verdict_map(check_scope(model, args.scope))
         _emit(generate_report(model, args.scope, args.template, verdicts), args.out)
     elif args.format == "dot":
         _emit(export_dot(model, args.scope), args.out)

@@ -7,9 +7,9 @@ find_undefined() flags identifier-shaped tokens that lack a definition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import DuplicateIdError, UnknownIdError
+from .records import Record
 from .textscan import tokenize
 
 _WORD_CHARS = re.compile(r"[A-Za-z0-9_]")
@@ -18,27 +18,27 @@ _INTERCAP = re.compile(r"[a-z][A-Z]")
 _LEADING_PUNCT = "\"'([{<"
 
 
-@dataclass
-class GlossaryTerm:
-    term: str
-    synonyms: tuple[str, ...] = ()
-    definition: str = ""
-    source: str = ""
-    allocations: tuple[str, ...] = ()
+class GlossaryTerm(Record):
+    __slots__ = _fields = ("term", "synonyms", "definition", "source", "allocations")
+
+    def __init__(self, term: str, synonyms: tuple[str, ...] = (), definition: str = "",
+                 source: str = "", allocations: tuple[str, ...] = ()):
+        self.term, self.synonyms, self.allocations = term, synonyms, allocations
+        self.definition, self.source = definition, source
 
 
-@dataclass
-class Glossary:
-    case_insensitive: bool = False
-    _terms: dict[str, GlossaryTerm] = field(default_factory=dict)
-    # every term name and synonym -> its term, as written and lower-cased;
-    # on a lower-cased collision the term added first keeps the name
-    _by_name: dict[str, GlossaryTerm] = field(default_factory=dict, init=False,
-                                              repr=False, compare=False)
-    _by_folded: dict[str, GlossaryTerm] = field(default_factory=dict, init=False,
-                                                repr=False, compare=False)
+class Glossary(Record):
+    _fields = ("case_insensitive", "_terms")
+    __slots__ = (*_fields, "_by_name", "_by_folded")
 
-    def __post_init__(self) -> None:
+    def __init__(self, case_insensitive: bool = False,
+                 _terms: dict[str, GlossaryTerm] | None = None):
+        self.case_insensitive = case_insensitive
+        self._terms = {} if _terms is None else _terms
+        # every term name and synonym -> its term, as written and lower-cased;
+        # on a lower-cased collision the term added first keeps the name
+        self._by_name: dict[str, GlossaryTerm] = {}
+        self._by_folded: dict[str, GlossaryTerm] = {}
         for term in self._terms.values():
             self._index(term)
 

@@ -12,15 +12,13 @@ controls attribute naming. No exporter mutates the model.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 import uuid
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterator
-from xml.etree import ElementTree
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .blockfile import Block, parse_blocks, render_blocks, split_list
 from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Catalog, ValueKind
@@ -32,7 +30,6 @@ from .errors import (
     UnknownColumnError,
 )
 from .glossary import GlossaryTerm, annotate
-from .metrics import compute_slot_completeness
 from .model import (
     FIXED_EPOCH,
     AttributeValue,
@@ -46,12 +43,16 @@ from .model import (
     SlotValue,
     StructuredStatement,
 )
-from .parser import parse_statement
-from .rules import TBX_RE, Verdict, _enabled_checks
 from .trace import add_link, kdr_view
 
+# The modules that only some readers and writers use (parser, rules, metrics,
+# csv and xml.etree) are imported inside those functions, so that loading a
+# corpus and the plain exporters start sooner.
+if TYPE_CHECKING:
+    from .rules import Verdict
+
 BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
-VerdictMap = dict[str, dict[str, Verdict]]  # expression id -> node id, as rules.verdict_map
+VerdictMap = dict[str, dict[str, "Verdict"]]  # expression id -> node id, as rules.verdict_map
 _VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
 # (slot key, text field, binding field) per slot
@@ -450,6 +451,10 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     are not part of the XMI surface. An error names the requirement or set
     entry by its Id, or by its xmi:id when the Id is blank.
     """
+    from xml.etree import ElementTree
+
+    from .parser import parse_statement
+
     model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
     try:
         root = ElementTree.fromstring(text)
@@ -727,6 +732,8 @@ def _verdict_letter(model: Model, expr_id: str, node_id: str, verdicts: VerdictM
 def table_rows(model: Model, scope_id: str | None, columns: list[str],
                verdicts: VerdictMap | None = None) -> list[list[str]]:
     """The cells of export_table's data rows, header excluded."""
+    if not columns:
+        raise UnknownColumnError("no table columns given")
     for column in columns:
         if column in ("id", "name", "text") or column in SLOT_KEYS:
             continue
@@ -768,6 +775,8 @@ def export_table(model: Model, scope_id: str | None, columns: list[str],
     expression's entry in verdicts (`rules.verdict_map`, plus `rules.rollup`
     for characteristics) when it has one, else from its stored links.
     """
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerows([columns] + table_rows(model, scope_id, columns, verdicts))
@@ -790,6 +799,8 @@ def _underline_terms(text: str, model: Model) -> str:
 
 
 def _overview_report(model: Model, scope_id: str | None) -> str:
+    from .metrics import compute_slot_completeness
+
     exprs = model.scope_requirements(scope_id)
     lines = ["# Requirements Overview", "",
              f"Scope: {scope_id if scope_id else 'all'}", "",
@@ -823,6 +834,8 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
 def _tbx_occurrences(model: Model, expr: RequirementExpression
                      ) -> list[tuple[str, str]]:
     """(token, location) pairs for every placeholder in text and attributes."""
+    from .rules import TBX_RE
+
     found: list[tuple[str, str]] = []
     for match in TBX_RE.finditer(expr.text):
         found.append((match.group(0), f"text {match.start()}..{match.end()}"))
@@ -836,6 +849,8 @@ def _tbx_occurrences(model: Model, expr: RequirementExpression
 
 
 def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap | None) -> str:
+    from .rules import _enabled_checks
+
     if scope_id and scope_id != "all":
         set_ids = [scope_id] + [i for i in model.transitive_members(scope_id)
                                 if model.expression(i).is_set]

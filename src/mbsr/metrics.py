@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 from .catalog import SLOT_KEYS
 from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
@@ -23,8 +23,7 @@ CSV_COLUMNS = ("timestamp", "scope", "type", "total",
                "sr1", "sr2", "sr3", "sr4", "sr5", "complete", "pct")
 
 
-@dataclass(frozen=True)
-class MetricInstance:
+class MetricInstance(NamedTuple):
     timestamp: datetime
     scope: str
     metric_type: str

@@ -12,11 +12,10 @@ from __future__ import annotations
 import re
 import uuid
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .catalog import PATTERNS, SLOT_KEYS, Catalog, ValueKind, default_catalog
 from .errors import (
@@ -36,6 +35,7 @@ from .errors import (
     UnknownScopeError,
 )
 from .glossary import Glossary
+from .records import FrozenRecord, Record
 
 ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -77,32 +77,29 @@ class LinkKind(Enum):
     VIOLATE = "Violate"
 
 
-@dataclass(frozen=True)
-class ModelElement:
-    element_id: str
-    name: str
-    kind: ElementKind
+class ModelElement(FrozenRecord):
+    __slots__ = _fields = ("element_id", "name", "kind")
 
-    def __post_init__(self):
-        if not ID_RE.match(self.element_id):
-            raise InvariantViolationError(f"bad element id {self.element_id!r}")
-        if not self.name.strip():
-            raise InvariantViolationError(f"element {self.element_id}: empty name")
+    def __init__(self, element_id: str, name: str, kind: ElementKind):
+        if not ID_RE.match(element_id):
+            raise InvariantViolationError(f"bad element id {element_id!r}")
+        if not name.strip():
+            raise InvariantViolationError(f"element {element_id}: empty name")
+        object.__setattr__(self, "element_id", element_id)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class SlotValue:
+class SlotValue(NamedTuple):
     text: str
     binding: str | None = None
 
 
-@dataclass(frozen=True, init=False)
-class StructuredStatement:
+class StructuredStatement(FrozenRecord):
     """StructuredStatement(pattern, {slot key: SlotValue}): exactly the
     pattern's slots, each with text. The mapping is copied, not kept."""
-    pattern: str
-    # one entry per SLOT_KEYS key, None where the pattern has no such slot
-    _slots: tuple[SlotValue | None, ...]
+    # _slots holds one entry per SLOT_KEYS key, None where the pattern has no such slot
+    __slots__ = _fields = ("pattern", "_slots")
 
     def __init__(self, pattern: str, values: Mapping[str, SlotValue | None] | None = None):
         shape = PATTERNS.get(pattern)
@@ -131,8 +128,7 @@ class StructuredStatement:
         return dict(zip(SLOT_KEYS, self._slots))
 
 
-@dataclass(frozen=True)
-class AttributeValue:
+class AttributeValue(NamedTuple):
     kind: ValueKind
     value: str | datetime
 
@@ -158,27 +154,34 @@ class AttributeValue:
         return self.value
 
 
-@dataclass
-class RequirementExpression:
-    id: str
-    name: str = ""
-    text: str = ""
-    statement: StructuredStatement | None = None
-    attributes: dict[str, AttributeValue] = field(default_factory=dict)
-    kind: ExpressionKind = ExpressionKind.REQUIREMENT
+class RequirementExpression(Record):
+    __slots__ = _fields = ("id", "name", "text", "statement", "attributes", "kind")
+    is_set = False
 
-    @property
-    def is_set(self) -> bool:
-        return isinstance(self, RequirementSet)
+    def __init__(self, id: str, name: str = "", text: str = "",
+                 statement: StructuredStatement | None = None,
+                 attributes: dict[str, AttributeValue] | None = None,
+                 kind: ExpressionKind = ExpressionKind.REQUIREMENT):
+        self.id, self.name, self.text, self.statement = id, name, text, statement
+        self.attributes = {} if attributes is None else attributes
+        self.kind = kind
 
 
-@dataclass
 class RequirementSet(RequirementExpression):
-    members: list[str] = field(default_factory=list)
+    __slots__ = ("members",)
+    _fields = (*RequirementExpression._fields, "members")
+    is_set = True
+
+    def __init__(self, id: str, name: str = "", text: str = "",
+                 statement: StructuredStatement | None = None,
+                 attributes: dict[str, AttributeValue] | None = None,
+                 kind: ExpressionKind = ExpressionKind.REQUIREMENT,
+                 members: list[str] | None = None):
+        super().__init__(id, name, text, statement, attributes, kind)
+        self.members = [] if members is None else members
 
 
-@dataclass(frozen=True)
-class TraceLink:
+class TraceLink(NamedTuple):
     link_id: str
     kind: LinkKind
     source_id: str

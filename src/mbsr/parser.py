@@ -14,13 +14,13 @@ Marker lexicons are pre-split once per distinct lexicon tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import PATTERNS, default_catalog
 from .errors import EmptySlotError, NoShallKeywordError
 from .model import SlotValue, StructuredStatement
+from .records import Record
 from .textscan import Token, tokenize
 
 if TYPE_CHECKING:
@@ -32,12 +32,15 @@ ARTICLES = ("The", "the", "A", "An")
 Span = tuple[int, int]
 
 
-@dataclass
-class ParseDiagnostics:
-    matched_pattern: str | None = None
-    shall_count: int = 0
-    unconsumed: list[Span] = field(default_factory=list)
-    slot_spans: dict[str, Span] = field(default_factory=dict)
+class ParseDiagnostics(Record):
+    __slots__ = _fields = ("matched_pattern", "shall_count", "unconsumed", "slot_spans")
+
+    def __init__(self, matched_pattern: str | None = None, shall_count: int = 0,
+                 unconsumed: list[Span] | None = None,
+                 slot_spans: dict[str, Span] | None = None):
+        self.matched_pattern, self.shall_count = matched_pattern, shall_count
+        self.unconsumed = [] if unconsumed is None else unconsumed
+        self.slot_spans = {} if slot_spans is None else slot_spans
 
 
 @cache

@@ -19,10 +19,9 @@ existing links, ids included.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import TBX_ID, Applicability, Automation, Catalog, RuleDef, ValueKind
 from .errors import MbsrError, NoShallKeywordError
@@ -47,8 +46,7 @@ class Verdict(Enum):
         return LinkKind.SATISFY if self is Verdict.SATISFY else LinkKind.VIOLATE
 
 
-@dataclass(frozen=True)
-class RuleFinding:
+class RuleFinding(NamedTuple):
     rule_id: str
     expression_id: str
     verdict: Verdict

@@ -9,8 +9,7 @@ containment edges are synthesized from it on demand.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     CycleDetectedError,
@@ -21,6 +20,7 @@ from .errors import (
     UnknownRootError,
 )
 from .model import LinkKind, Model, RequirementSet, TraceLink
+from .records import Record
 
 ACYCLIC_KINDS = (LinkKind.DERIVE, LinkKind.CONTAINMENT, LinkKind.COPY)
 
@@ -173,16 +173,22 @@ def _bfs(model: Model, start: str, kind: LinkKind, reverse: bool,
     return out
 
 
-@dataclass
-class TraceView:
-    expression_id: str
-    derives_from: list[str] = field(default_factory=list)
-    derived_by: list[str] = field(default_factory=list)
-    member_of: list[str] = field(default_factory=list)
-    satisfied_by: list[str] = field(default_factory=list)
-    verified_by: list[str] = field(default_factory=list)
-    refined_by: list[str] = field(default_factory=list)
-    copies: list[str] = field(default_factory=list)
+class TraceView(Record):
+    __slots__ = _fields = ("expression_id", "derives_from", "derived_by", "member_of",
+                           "satisfied_by", "verified_by", "refined_by", "copies")
+
+    def __init__(self, expression_id: str, derives_from: list[str] | None = None,
+                 derived_by: list[str] | None = None, member_of: list[str] | None = None,
+                 satisfied_by: list[str] | None = None, verified_by: list[str] | None = None,
+                 refined_by: list[str] | None = None, copies: list[str] | None = None):
+        self.expression_id = expression_id
+        self.derives_from = [] if derives_from is None else derives_from
+        self.derived_by = [] if derived_by is None else derived_by
+        self.member_of = [] if member_of is None else member_of
+        self.satisfied_by = [] if satisfied_by is None else satisfied_by
+        self.verified_by = [] if verified_by is None else verified_by
+        self.refined_by = [] if refined_by is None else refined_by
+        self.copies = [] if copies is None else copies
 
 
 def bidirectional_trace(model: Model, expr_id: str,
@@ -217,8 +223,7 @@ def bidirectional_trace(model: Model, expr_id: str,
     return view
 
 
-@dataclass(frozen=True)
-class KdrRow:
+class KdrRow(NamedTuple):
     expression_id: str
     marker: str
     derives_from: tuple[str, ...]

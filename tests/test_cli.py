@@ -71,6 +71,13 @@ def test_parse_unparseable_text_exits_one(capsys, tmp_path):
     assert "SR5" in out  # names the slot that stays empty
 
 
+def test_parse_set_id_is_a_usage_error(capsys):
+    # a set has no statement to parse: exit 2 (usage), not 1 (findings)
+    code, out, err = run(capsys, "--corpus", TRACECHAIN, "parse", "SET-ALL")
+    assert (code, out) == (2, "")
+    assert err == "error: 'SET-ALL' is a set; parse takes a requirement id\n"
+
+
 # --- metrics ---
 
 
@@ -217,6 +224,13 @@ def test_export_csv_custom_columns(capsys):
                          "--format", "csv", "--columns", "id,SR3,A40")
     assert out.strip().split("\n")[0] == "id,SR3,A40"
     assert "L3-EX.1,collect,Functional" in out
+
+
+def test_export_csv_empty_column_list_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--corpus", TRACECHAIN, "export",
+                         "--format", "csv", "--columns", ",,,")
+    assert (code, out) == (2, "")
+    assert err == "error: no table columns given\n"
 
 
 def test_export_md_report(capsys):

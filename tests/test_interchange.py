@@ -409,6 +409,11 @@ def test_export_table_unknown_column(asteroid_model):
         export_table(asteroid_model, None, ["id", "bogus"])
 
 
+def test_export_table_needs_a_column(asteroid_model):
+    with pytest.raises(UnknownColumnError, match="no table columns given"):
+        export_table(asteroid_model, None, [])
+
+
 def test_export_table_verdict_columns(mixed_model):
     from mbsr import apply_verdicts, check_scope
 
