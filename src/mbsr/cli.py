@@ -225,7 +225,7 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
                 Path(args.mapping).read_text(encoding="utf-8"))
         _emit(export_reqif(model, args.scope, mapping), args.out)
     elif args.format == "csv":
-        if args.columns:
+        if args.columns is not None:
             columns = [c.strip() for c in args.columns.split(",") if c.strip()]
         else:
             columns = ["id", "name", "text", "SR1", "SR2", "SR3", "SR4", "SR5"]

@@ -226,9 +226,10 @@ def test_export_csv_custom_columns(capsys):
     assert "L3-EX.1,collect,Functional" in out
 
 
-def test_export_csv_empty_column_list_is_a_usage_error(capsys):
+@pytest.mark.parametrize("columns", [",,,", "", " "])
+def test_export_csv_empty_column_list_is_a_usage_error(capsys, columns):
     code, out, err = run(capsys, "--corpus", TRACECHAIN, "export",
-                         "--format", "csv", "--columns", ",,,")
+                         "--format", "csv", "--columns", columns)
     assert (code, out) == (2, "")
     assert err == "error: no table columns given\n"
 
