@@ -13,9 +13,12 @@ import os
 import sys
 import warnings
 from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
-from .catalog import TBX_ID, load_catalog
+from .blockfile import split_list
+from .catalog import SLOT_KEYS, TBX_ID, load_catalog
 from .errors import MbsrError, TraceDiscouragedWarning, UnknownIdError
 from .glossary import find_undefined
 from .interchange import (
@@ -112,19 +115,15 @@ def _cmd_lint(model: Model, args: argparse.Namespace) -> int:
     # a model that is thrown away at exit, so none are applied.
     from .rules import Verdict, check_scope
 
-    findings = check_scope(model, args.scope)
     lines: list[str] = []
     violations = 0
-    by_expr: dict[str, list] = {}
-    for finding in findings:
-        by_expr.setdefault(finding.expression_id, []).append(finding)
-    for expr_id in sorted(by_expr):
-        expr = model.expression(expr_id)
+    # check_scope gives each requirement's findings together, in id order
+    for expr_id, group in groupby(check_scope(model, args.scope), attrgetter("expression_id")):
+        expr, found = model.expression(expr_id), list(group)
         summary = " ".join(
-            f"{f.rule_id}={'S' if f.verdict is Verdict.SATISFY else 'V'}"
-            for f in by_expr[expr_id])
+            f"{f.rule_id}={'S' if f.verdict is Verdict.SATISFY else 'V'}" for f in found)
         lines.append(f"{expr_id} {summary}")
-        for finding in by_expr[expr_id]:
+        for finding in found:
             if finding.verdict is not Verdict.VIOLATE:
                 continue
             violations += 1
@@ -226,9 +225,9 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
         _emit(export_reqif(model, args.scope, mapping), args.out)
     elif args.format == "csv":
         if args.columns is not None:
-            columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+            columns = list(split_list(args.columns))
         else:
-            columns = ["id", "name", "text", "SR1", "SR2", "SR3", "SR4", "SR5"]
+            columns = ["id", "name", "text", *SLOT_KEYS]
         _emit(export_table(model, args.scope, columns), args.out)
     elif args.format == "md":
         verdicts = None
@@ -294,24 +293,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
+    with warnings.catch_warnings():
         if args.strict:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", TraceDiscouragedWarning)
-                model = _load_model(args)
-        else:
-            model = _load_model(args)
-    except (MbsrError, TraceDiscouragedWarning, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](model, args)
-    except MbsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            warnings.simplefilter("error", TraceDiscouragedWarning)
+        try:
+            return _COMMANDS[args.command](_load_model(args), args)
+        except (MbsrError, TraceDiscouragedWarning, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

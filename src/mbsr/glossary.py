@@ -7,6 +7,7 @@ find_undefined() flags identifier-shaped tokens that lack a definition.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .errors import DuplicateIdError, UnknownIdError
 from .records import Record
@@ -93,18 +94,24 @@ def annotate(text: str, glossary: Glossary) -> list[tuple[int, int, str]]:
     Synonym hits annotate to their canonical term name.
     """
     haystack = text.lower() if glossary.case_insensitive else text
+    # lower() lengthens a few characters ("\u0130" -> "i\u0307"); then a match
+    # maps back to the text only from offsets where a text character starts
+    to_text = None
+    if len(haystack) != len(text):
+        to_text = {at: i for i, at in enumerate(accumulate(map(len, map(str.lower, text)), initial=0))}
     candidates: list[tuple[int, int, str]] = []
-    for term in glossary.terms():
-        for name in (term.term, *term.synonyms):
-            needle = name.lower() if glossary.case_insensitive else name
-            if not needle:
-                continue
-            pos = haystack.find(needle)
-            while pos != -1:
-                end = pos + len(needle)
-                if _word_bounded(text, pos, end):
-                    candidates.append((pos, end, term.term))
-                pos = haystack.find(needle, pos + 1)
+    # every name once: add_term rejects a name that is already taken
+    for name, term in glossary._by_name.items():
+        needle = name.lower() if glossary.case_insensitive else name
+        if not needle:
+            continue
+        pos = haystack.find(needle)
+        while pos != -1:
+            end = pos + len(needle)
+            span = (pos, end) if to_text is None else (to_text.get(pos, -1), to_text.get(end, -1))
+            if min(span) >= 0 and _word_bounded(text, *span):
+                candidates.append((*span, term.term))
+            pos = haystack.find(needle, pos + 1)
     # leftmost first; longer span wins at equal starts; term name breaks ties
     candidates.sort(key=lambda c: (c[0], -(c[1] - c[0]), c[2]))
     spans: list[tuple[int, int, str]] = []
@@ -123,13 +130,8 @@ def find_undefined(text: str, glossary: Glossary,
     A candidate contains an underscore or an interior lower-to-upper case
     change; known glossary names and model element names are excluded.
     """
-    defined: set[str] = set(element_names)
-    for term in glossary.terms():
-        defined.add(term.term)
-        defined.update(term.synonyms)
     if glossary.case_insensitive:
-        defined = {d.lower() for d in defined}
-
+        element_names = {name.lower() for name in element_names}
     seen: set[str] = set()
     out: list[str] = []
     for token in tokenize(text):
@@ -137,7 +139,7 @@ def find_undefined(text: str, glossary: Glossary,
         if "_" not in word and not _INTERCAP.search(word):
             continue
         key = word.lower() if glossary.case_insensitive else word
-        if key in defined or word in seen:
+        if word in seen or key in element_names or glossary.resolve(word) is not None:
             continue
         seen.add(word)
         out.append(word)

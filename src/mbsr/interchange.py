@@ -286,18 +286,27 @@ def load_corpus(path: str | Path, catalog: Catalog | None = None,
 # --- corpus serialization ---
 
 
-def _slot_fields_of(expr: RequirementExpression, fields: dict[str, str]) -> None:
-    statement = expr.statement
-    if statement is None:
-        return
-    fields["pattern"] = statement.pattern
-    for key in SLOT_KEYS:
-        slot = statement.slot(key)
-        if slot is None:
-            continue
-        fields[key.lower()] = slot.text
-        if slot.binding is not None:
-            fields[f"{key.lower()}_ref"] = slot.binding
+def _expression_block(expr: RequirementExpression) -> Block:
+    fields: dict[str, str] = {"name": expr.name}
+    if expr.kind != ExpressionKind.REQUIREMENT:
+        fields["kind"] = expr.kind.value
+    if expr.is_set:
+        if expr.members:
+            fields["members"] = ", ".join(expr.members)
+    else:
+        if expr.text:
+            fields["text"] = expr.text
+        if expr.statement is not None:
+            fields["pattern"] = expr.statement.pattern
+            for key, low, ref_key in _SLOT_FIELD_KEYS:
+                slot = expr.statement.slot(key)
+                if slot is not None:
+                    fields[low] = slot.text
+                    if slot.binding is not None:
+                        fields[ref_key] = slot.binding
+    for key in sorted(expr.attributes):
+        fields[key] = expr.attributes[key].display()
+    return Block("set" if expr.is_set else "requirement", expr.id, 0, fields)
 
 
 def serialize_corpus(model: Model) -> str:
@@ -308,33 +317,12 @@ def serialize_corpus(model: Model) -> str:
         blocks.append(Block("element", element.element_id, 0, {
             "name": element.name, "kind": element.kind.value}))
 
-    for expr in model.expressions():
-        if expr.is_set:
-            continue
-        fields: dict[str, str] = {"name": expr.name}
-        if expr.kind != ExpressionKind.REQUIREMENT:
-            fields["kind"] = expr.kind.value
-        if expr.text:
-            fields["text"] = expr.text
-        _slot_fields_of(expr, fields)
-        for key in sorted(expr.attributes):
-            fields[key] = expr.attributes[key].display()
-        blocks.append(Block("requirement", expr.id, 0, fields))
-
-    for expr in model.expressions():
-        if not expr.is_set:
-            continue
-        fields = {"name": expr.name}
-        if expr.kind != ExpressionKind.REQUIREMENT:
-            fields["kind"] = expr.kind.value
-        if expr.members:
-            fields["members"] = ", ".join(expr.members)
-        for key in sorted(expr.attributes):
-            fields[key] = expr.attributes[key].display()
-        blocks.append(Block("set", expr.id, 0, fields))
+    expressions = model.expressions()
+    blocks.extend(_expression_block(e) for e in expressions if not e.is_set)
+    blocks.extend(_expression_block(e) for e in expressions if e.is_set)
 
     for term in model.glossary.terms():
-        fields = {}
+        fields: dict[str, str] = {}
         if term.definition:
             fields["definition"] = term.definition
         if term.source:
@@ -754,11 +742,7 @@ def table_rows(model: Model, scope_id: str | None, columns: list[str],
             slot = expr.statement.slot(column)
             return slot.text if slot is not None else ""
         if column in model.catalog.attributes:
-            if column == "A15":
-                return expr.id
-            if column == "A16":
-                return expr.name
-            value = expr.attributes.get(column)
+            value = model.get_attribute(expr.id, column)
             return value.display() if value is not None else ""
         return _verdict_letter(model, expr.id, column, verdicts)
 
@@ -912,7 +896,9 @@ def export_dot(model: Model, scope_id: str | None = None) -> str:
     for node_id in sorted(shown):
         if model.has_element(node_id):
             shape = "ellipse"
-            label = f"{node_id}\\n{model.element(node_id).name}"
+            # ids are plain (model.ID_RE); a name may hold a quote or backslash
+            name = model.element(node_id).name.replace("\\", "\\\\").replace('"', '\\"')
+            label = f"{node_id}\\n{name}"
         elif model.has_expression(node_id):
             shape = "box"
             label = node_id

@@ -317,6 +317,9 @@ class Model:
         self.add_expression(rset)
 
     def _check_members(self, set_id: str, members: Iterable[str]) -> None:
+        # membership is a tree, so a member closes a cycle exactly when it
+        # is one of the set's ancestors
+        ancestors = self.containing_sets(set_id)
         seen: set[str] = set()
         for member in members:
             if member == set_id:
@@ -330,24 +333,9 @@ class Model:
             if parent is not None and parent != set_id:
                 raise KindConstraintViolationError(
                     f"member {member!r} is already contained in set {parent!r}")
-            if self._reaches(member, set_id):
+            if member in ancestors:
                 raise MembershipCycleError(
                     f"adding {member!r} to {set_id!r} would close a membership cycle")
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        stack = [start]
-        visited: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            if node in visited:
-                continue
-            visited.add(node)
-            expr = self._expressions.get(node)
-            if isinstance(expr, RequirementSet):
-                stack.extend(expr.members)
-        return False
 
     def set_members(self, set_id: str, members: list[str], touch: bool = True) -> None:
         """Replace a set's member list; touch=False skips the change stamp

@@ -200,8 +200,7 @@ def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
 def _contributors(catalog: Catalog) -> dict[str, list[str]]:
     """Individual characteristic id -> the enabled automated rules that
     contribute to it; characteristics with no such rule are absent."""
-    automated = [r for r in catalog.rules.values()
-                 if r.automation == Automation.AUTOMATED and r.enabled]
+    automated = [rule for _, _, rule in _enabled_checks(catalog)]
     out: dict[str, list[str]] = {}
     for char in catalog.characteristics_for(Applicability.INDIVIDUAL):
         rule_ids = [r.rule_id for r in automated
@@ -236,11 +235,8 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
     identical links are kept, stale ones removed, missing ones added.
     Returns the number of links added or removed.
     """
-    by_expr: dict[str, dict[str, Verdict]] = {}
-    for finding in findings:
-        if not finding.expression_id:
-            continue
-        by_expr.setdefault(finding.expression_id, {})[finding.rule_id] = finding.verdict
+    by_expr = verdict_map(findings)
+    by_expr.pop("", None)  # check_text findings name no expression
 
     catalog = model.catalog
     contributors = _contributors(catalog)

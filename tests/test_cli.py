@@ -130,6 +130,15 @@ def test_metrics_malformed_history_exits_two(capsys, tmp_path):
     assert out == ""
 
 
+def test_metrics_non_utf8_history_exits_two(capsys, tmp_path):
+    history = tmp_path / "bad.csv"
+    history.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "--corpus", METRICS10, "metrics", "--history", str(history))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert history.read_bytes() == b"\xff\n"
+
+
 # --- trace ---
 
 
@@ -217,6 +226,15 @@ def test_export_reqif_needs_mapping(capsys, tmp_path):
     code, out, err = run(capsys, "--corpus", ASTEROID, "export",
                          "--format", "reqif", "--mapping", str(mapping))
     assert code == 0 and "<REQ-IF" in out
+
+
+def test_export_reqif_non_utf8_mapping_exits_two(capsys, tmp_path):
+    mapping = tmp_path / "map.txt"
+    mapping.write_bytes(b"A01 = \xff\n")
+    code, out, err = run(capsys, "--corpus", ASTEROID, "export", "--format", "reqif",
+                         "--mapping", str(mapping))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_export_csv_custom_columns(capsys):

@@ -19,7 +19,14 @@ from mbsr import (
     find_undefined,
 )
 from mbsr.errors import UnknownIdError
-from mbsr.glossary import reconcile_allocations, usage_counts
+from mbsr.glossary import (
+    _INTERCAP,
+    _LEADING_PUNCT,
+    _word_bounded,
+    reconcile_allocations,
+    usage_counts,
+)
+from mbsr.textscan import tokenize
 from tests.conftest import FIXTURES_DIR
 
 UNDEFINED = json.loads((FIXTURES_DIR / "undefined_tokens.json").read_text())
@@ -97,8 +104,48 @@ class ScanGlossary:
         return None
 
 
+def scan_annotate(text, glossary):
+    """annotate by brute force: each word-bounded window of the text whose
+    lower-cased form (when the glossary folds case) equals that of a name of
+    some term, by a scan over glossary.terms()."""
+    fold = (lambda s: s.lower()) if glossary.case_insensitive else (lambda s: s)
+    windows = {}
+    for start in range(len(text)):
+        for end in range(start + 1, len(text) + 1):
+            if _word_bounded(text, start, end):
+                windows.setdefault(fold(text[start:end]), []).append((start, end))
+    candidates = [(start, end, term.term)
+                  for term in glossary.terms() for name in (term.term, *term.synonyms)
+                  for start, end in windows.get(fold(name), ())]
+    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0]), c[2]))
+    spans, cursor = [], 0
+    for start, end, name in candidates:
+        if start >= cursor:
+            spans.append((start, end, name))
+            cursor = end
+    return spans
+
+
+def scan_find_undefined(text, glossary, element_names):
+    """find_undefined as first written: the set of every defined name,
+    rebuilt from glossary.terms() on each call."""
+    fold = (lambda s: s.lower()) if glossary.case_insensitive else (lambda s: s)
+    defined = set(element_names)
+    for term in glossary.terms():
+        defined.update((term.term, *term.synonyms))
+    defined = {fold(d) for d in defined}
+    out = []
+    for token in tokenize(text):
+        word = token.text.lstrip(_LEADING_PUNCT)
+        if ("_" in word or _INTERCAP.search(word)) and fold(word) not in defined \
+                and word not in out:
+            out.append(word)
+    return out
+
+
 # few letters in mixed case, so names often collide once lower-cased
 _NAME_PARTS = ("a", "A", "b", "B", "_", "\u0130")
+_SEPARATORS = (" ", " ", ". ", ", ", "-", "(", "\"", "")
 
 
 @pytest.mark.parametrize("case_insensitive", [False, True])
@@ -126,6 +173,12 @@ def test_resolve_matches_a_scan_of_every_term(seed, case_insensitive):
         for _ in range(30):
             query = name()
             assert glossary.resolve(query) is reference.resolve(query), query
+        elements = {name() for _ in range(rng.randrange(3))}
+        for _ in range(10):
+            text = "".join(name() + rng.choice(_SEPARATORS) for _ in range(rng.randrange(1, 9)))
+            assert annotate(text, glossary) == scan_annotate(text, glossary), text
+            assert find_undefined(text, glossary, elements) == \
+                scan_find_undefined(text, glossary, elements), text
 
 
 def test_case_insensitive_collision_resolves_to_the_first_term():
@@ -163,6 +216,15 @@ def test_annotate_is_word_bounded():
     glossary.add_term(GlossaryTerm("Arm"))
     assert annotate("Army Armchair Disarm", glossary) == []
     assert annotate("The Arm moves.", glossary) == [(4, 7, "Arm")]
+
+
+def test_annotate_case_insensitive_spans_index_the_text():
+    """Lower-casing "\u0130" gives two characters, so offsets in the
+    lower-cased text run ahead of the text's own; spans index the text."""
+    glossary = Glossary(case_insensitive=True)
+    glossary.add_term(GlossaryTerm("Rover", synonyms=("\u0130",)))
+    text = "x\u0130 rover \u0130."
+    assert annotate(text, glossary) == [(3, 8, "Rover"), (9, 10, "Rover")]
 
 
 def test_annotate_maps_synonyms_to_canonical_name():

@@ -33,6 +33,7 @@ REPO_DIR = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_DIR / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 R2_DISABLED = str(Path(__file__).resolve().parent / "fixtures" / "r2_disabled.cfg")
+REQIF_MAPPING = str(Path(__file__).resolve().parent / "fixtures" / "reqif_mapping.cfg")
 EXPECTED = GOLDEN_DIR / "expected.json"
 
 _TABLE_COLUMNS = ("id,name,text,SR1,SR2,SR3,SR4,SR5,"
@@ -48,6 +49,7 @@ _COMMON = {
     "export-md-setreview": ["export", "--format", "md", "--template", "SetReview"],
     "export-csv": ["export", "--format", "csv", "--columns", _TABLE_COLUMNS],
     "export-xmi": ["export", "--format", "xmi"],
+    "export-reqif": ["export", "--format", "reqif", "--mapping", REQIF_MAPPING],
     "export-dot": ["export", "--format", "dot"],
     "export-mbsr": ["export", "--format", "mbsr"],
     "glossary-check": ["glossary", "--check"],

@@ -488,7 +488,35 @@ def test_export_dot_shapes(tracechain_model):
     assert '"SET-ALL" -> "L3-A" [label="Containment"];' in dot
 
 
-# --- verdict source against stored verdict links, on generated corpora ---
+_DOT_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_names(catalog):
+    model = loads_corpus(
+        '[element blk-a]\nname = Flight "Main" \\ Computer\nkind = Block\n\n'
+        "[requirement R-1]\ntext = The System shall log data within 1 s.\n\n"
+        "[link L-1]\nkind = Refine\nsource = blk-a\ntarget = R-1\n",
+        catalog, clock=fixed_clock)
+    dot = export_dot(model)
+    assert '"blk-a" [shape=ellipse, label="blk-a\\nFlight \\"Main\\" \\\\ Computer"];' in dot
+    # every line is made of whole quoted strings: no quote is left unpaired
+    for line in dot.splitlines():
+        assert '"' not in _DOT_STRING_RE.sub("", line), line
+
+
+# --- generated corpora: verdict sources and round trips ---
+
+
+def _generated(workload, seed, tmp_path):
+    """A benchmark corpus at a fifth of its workload's size, for the suite's
+    budget, and the model loaded from it with its catalog override."""
+    shape = SHAPES[workload]
+    corpus = generate(workload, seed, replace(shape, n=shape.n // 5))
+    config = None
+    if corpus.config_text is not None:
+        config = tmp_path / "catalog.cfg"
+        config.write_text(corpus.config_text, encoding="utf-8")
+    return corpus, loads_corpus(corpus.text(), load_catalog(config), clock=fixed_clock)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -497,15 +525,8 @@ def test_verdict_map_renders_like_applied_verdict_links(workload, seed, tmp_path
     """export_table and SetReview read from a verdict map give what they give
     after apply_verdicts stored the same findings: first for one leaf set,
     so the other requirements fall back to their (absent) links, then for
-    the whole corpus, over the links the first apply stored. The corpora keep
-    their workload's make-up at a fifth of its size, for the suite's budget."""
-    shape = SHAPES[workload]
-    corpus = generate(workload, seed, replace(shape, n=shape.n // 5))
-    config = None
-    if corpus.config_text is not None:
-        config = tmp_path / "catalog.cfg"
-        config.write_text(corpus.config_text, encoding="utf-8")
-    model = loads_corpus(corpus.text(), load_catalog(config), clock=fixed_clock)
+    the whole corpus, over the links the first apply stored."""
+    corpus, model = _generated(workload, seed, tmp_path)
     columns = ["id", *RULES, *CHARACTERISTICS]
     for scope in (corpus.leaf_sets()[0], None):
         findings = check_scope(model, scope)
@@ -516,6 +537,23 @@ def test_verdict_map_renders_like_applied_verdict_links(workload, seed, tmp_path
         assert apply_verdicts(model, findings) > 0
         assert export_table(model, None, columns) == table
         assert generate_report(model, None, "SetReview") == report
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["bulk-lint", "trace-review"])
+def test_generated_corpus_text_is_a_fixed_point(workload, seed, tmp_path):
+    """Serializing a reloaded corpus gives the text it was loaded from."""
+    _, model = _generated(workload, seed, tmp_path)
+    text = serialize_corpus(model)
+    assert serialize_corpus(loads_corpus(text, model.catalog, clock=fixed_clock)) == text
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["bulk-lint", "trace-review"])
+def test_generated_xmi_round_trips(workload, seed, tmp_path):
+    _, model = _generated(workload, seed, tmp_path)
+    xmi = export_xmi(model)
+    assert export_xmi(import_xmi(xmi, model.catalog, clock=fixed_clock)) == xmi
 
 
 # --- import_xmi on damaged input ---

@@ -269,6 +269,22 @@ def test_membership_cycle_rejected():
     with pytest.raises(MembershipCycleError):
         model.set_members("SET-A", ["SET-B", "SET-A"])
 
+    # a three-level chain TOP > MID > LOW, with SIDE beside MID
+    for set_id in ("SET-TOP", "SET-MID", "SET-LOW", "SET-SIDE"):
+        model.add_set(RequirementSet(set_id))
+    model.set_members("SET-TOP", ["SET-MID", "SET-SIDE"])
+    model.set_members("SET-MID", ["SET-LOW"])
+    with pytest.raises(MembershipCycleError):
+        model.set_members("SET-LOW", ["R-1", "SET-TOP"])
+    # MID closes a cycle too, but its parent is checked first
+    with pytest.raises(KindConstraintViolationError):
+        model.set_members("SET-LOW", ["R-1", "SET-MID"])
+    assert model.expression("SET-LOW").members == []
+    # a set that is not an ancestor moves from TOP down into LOW
+    model.set_members("SET-TOP", ["SET-MID"])
+    model.set_members("SET-LOW", ["SET-SIDE", "R-1"])
+    assert model.containing_sets("SET-SIDE") == ["SET-LOW", "SET-MID", "SET-TOP"]
+
 
 def test_failed_member_update_leaves_model_unchanged():
     model = build_model()
