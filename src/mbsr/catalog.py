@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .blockfile import Block, parse_blocks, split_list
 from .errors import CatalogParseError, InvariantViolationError
@@ -287,82 +287,78 @@ def _parse_bool(value: str, line: int) -> bool:
     raise CatalogParseError(f"expected boolean, got {value!r}", line)
 
 
-def _override_rule(catalog: Catalog, block: Block) -> None:
-    rid = block.ident
-    if rid not in catalog.rules:
-        raise InvariantViolationError(f"line {block.line}: cannot add rule {rid!r}; the registry is fixed at R1..R42")
-    rule = catalog.rules[rid]
-    for key, value in block.fields.items():
-        line = block.field_lines[key]
-        if key == "name":
-            rule = rule._replace(name=value)
-        elif key == "description":
-            rule = rule._replace(description=value)
-        elif key == "enabled":
-            rule = rule._replace(enabled=_parse_bool(value, line))
-        elif key == "contributes_to":
-            rule = rule._replace(contributes_to=frozenset(split_list(value)))
-        elif key == "automation":
-            try:
-                rule = rule._replace(automation=Automation(value))
-            except ValueError:
-                raise CatalogParseError(f"unknown automation {value!r}", line) from None
-        elif key in ("phrases", "participles"):
-            params = dict(rule.params)
-            params[key] = split_list(value)
-            rule = rule._replace(params=params)
-        else:
-            raise CatalogParseError(f"unknown rule field {key!r}", line)
-    catalog.rules[rid] = rule
+def _enum(kind: type[Enum], label: str) -> Callable[[str, int], Enum]:
+    """A field reader that takes an enum member by its value."""
+    def read(value: str, line: int) -> Enum:
+        try:
+            return kind(value)
+        except ValueError:
+            raise CatalogParseError(f"unknown {label} {value!r}", line) from None
+    return read
 
 
-def _override_attribute(catalog: Catalog, block: Block) -> None:
-    key = block.ident
-    existing = catalog.attributes.get(key)
-    if existing is None:
-        if not _X_KEY_RE.match(key):
+def _text(value: str, line: int) -> str:
+    return value
+
+
+def _list(value: str, line: int) -> tuple[str, ...]:
+    return split_list(value)
+
+
+# section kind -> config key -> (record field, reader of (value, line)); a
+# rule's phrase lists go into its params under their own key
+_OVERRIDE_FIELDS: dict[str, dict[str, tuple[str, Callable[[str, int], object]]]] = {
+    "rule": {
+        "name": ("name", _text),
+        "description": ("description", _text),
+        "enabled": ("enabled", _parse_bool),
+        "contributes_to": ("contributes_to", lambda value, line: frozenset(split_list(value))),
+        "automation": ("automation", _enum(Automation, "automation")),
+        "phrases": ("params", _list),
+        "participles": ("params", _list),
+    },
+    "attribute": {
+        "name": ("name", _text),
+        "group": ("group", _text),
+        "minimum": ("minimum_set", _parse_bool),
+        "kind": ("value_kind", _enum(ValueKind, "value kind")),
+        "values": ("value_set", lambda value, line: split_list(value) or None),
+    },
+    "characteristic": {
+        "name": ("name", _text),
+        "derivation": ("derivation", _enum(Derivation, "derivation")),
+    },
+}
+# section kind -> (Catalog registry, why an id outside it cannot be added)
+_OVERRIDE_REGISTRIES = {
+    "rule": ("rules", "the registry is fixed at R1..R42"),
+    "attribute": ("attributes", "only X-prefixed extensions may be added"),
+    "characteristic": ("characteristics", "the registry is fixed at C1..C15"),
+}
+
+
+def _override_record(catalog: Catalog, block: Block) -> None:
+    """Apply one rule, attribute or characteristic section; only an
+    X-prefixed attribute may be added."""
+    registry_name, fixed = _OVERRIDE_REGISTRIES[block.kind]
+    registry = getattr(catalog, registry_name)
+    record = registry.get(block.ident)
+    if record is None:
+        if block.kind != "attribute" or not _X_KEY_RE.match(block.ident):
             raise InvariantViolationError(
-                f"line {block.line}: cannot add attribute {key!r}; only X-prefixed extensions may be added")
-        existing = AttributeDef(key, key)
-    attr = existing
-    for fkey, value in block.fields.items():
-        line = block.field_lines[fkey]
-        if fkey == "name":
-            attr = attr._replace(name=value)
-        elif fkey == "group":
-            attr = attr._replace(group=value)
-        elif fkey == "minimum":
-            attr = attr._replace(minimum_set=_parse_bool(value, line))
-        elif fkey == "kind":
-            try:
-                attr = attr._replace(value_kind=ValueKind(value))
-            except ValueError:
-                raise CatalogParseError(f"unknown value kind {value!r}", line) from None
-        elif fkey == "values":
-            attr = attr._replace(value_set=split_list(value) or None)
-        else:
-            raise CatalogParseError(f"unknown attribute field {fkey!r}", line)
-    catalog.attributes[key] = attr
-
-
-def _override_characteristic(catalog: Catalog, block: Block) -> None:
-    cid = block.ident
-    if cid not in catalog.characteristics:
-        raise InvariantViolationError(
-            f"line {block.line}: cannot add characteristic {cid!r}; the registry is fixed at C1..C15")
-    char = catalog.characteristics[cid]
+                f"line {block.line}: cannot add {block.kind} {block.ident!r}; {fixed}")
+        record = AttributeDef(block.ident, block.ident)
+    fields = _OVERRIDE_FIELDS[block.kind]
     for key, value in block.fields.items():
         line = block.field_lines[key]
-        if key == "name":
-            char = char._replace(name=value)
-        elif key == "derivation":
-            try:
-                char = char._replace(derivation=Derivation(value))
-            except ValueError:
-                raise CatalogParseError(f"unknown derivation {value!r}", line) from None
-        else:
-            raise CatalogParseError(f"unknown characteristic field {key!r}", line)
-    catalog.characteristics[cid] = char
+        if key not in fields:
+            raise CatalogParseError(f"unknown {block.kind} field {key!r}", line)
+        field, read = fields[key]
+        value = read(value, line)
+        if field == "params":
+            value = {**record.params, key: value}
+        record = record._replace(**{field: value})
+    registry[block.ident] = record
 
 
 def _override_pattern(catalog: Catalog, block: Block) -> None:
@@ -407,13 +403,8 @@ def load_catalog(config_path: str | Path | None = None) -> Catalog:
             blocks = parse_blocks(text)
         except Exception as exc:
             raise CatalogParseError(str(exc)) from exc
-        handlers = {
-            "rule": _override_rule,
-            "attribute": _override_attribute,
-            "characteristic": _override_characteristic,
-            "pattern": _override_pattern,
-            "flags": _override_flags,
-        }
+        handlers = {"pattern": _override_pattern, "flags": _override_flags,
+                    **dict.fromkeys(_OVERRIDE_FIELDS, _override_record)}
         for block in blocks:
             handler = handlers.get(block.kind)
             if handler is None:

@@ -33,7 +33,7 @@ from .interchange import (
     table_rows,
 )
 from .model import FIXED_EPOCH, Model, as_utc
-from .trace import bidirectional_trace
+from .trace import TraceView, bidirectional_trace
 
 # The commands that run the rule checkers, the parser or the metrics import
 # them inside, so that `validate` and the exporters start sooner.
@@ -184,19 +184,10 @@ def _cmd_metrics(model: Model, args: argparse.Namespace) -> int:
 
 def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
     view = bidirectional_trace(model, args.req_id, max_depth=args.depth)
-    def fmt(ids: list[str]) -> str:
-        return ", ".join(ids) if ids else "-"
-    lines = [
-        f"id: {view.expression_id}",
-        f"derives_from: {fmt(view.derives_from)}",
-        f"derived_by: {fmt(view.derived_by)}",
-        f"member_of: {fmt(view.member_of)}",
-        f"satisfied_by: {fmt(view.satisfied_by)}",
-        f"verified_by: {fmt(view.verified_by)}",
-        f"refined_by: {fmt(view.refined_by)}",
-        f"copies: {fmt(view.copies)}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"id: {view.expression_id}\n"]
+    lines += [f"{field}: {', '.join(getattr(view, field)) or '-'}\n"
+              for field in TraceView._fields[1:]]
+    _emit("".join(lines), args.out)
     return 0
 
 

@@ -70,6 +70,15 @@ PROFILE = "Model_Based_Structured_Requirements_Profile"
 PROFILE_NS = "urn:mbsr:profile"
 REQIF_NS = "http://www.omg.org/spec/ReqIF/20110401/reqif.xsd"
 
+# profile tag -> (is a set, expression kind); export_xmi reads the inverse
+_XMI_TAGS = {
+    "Requirement_Expression": (False, ExpressionKind.REQUIREMENT),
+    "Need": (False, ExpressionKind.NEED),
+    "Requirement_Set": (True, ExpressionKind.REQUIREMENT),
+    "Need_Set": (True, ExpressionKind.NEED),
+}
+_XMI_TAG_OF = {shape: tag for tag, shape in _XMI_TAGS.items()}
+
 XMI_SLOT_NAMES = {
     "SR1": "SR1_Condition",
     "SR2": "SR2_Subject",
@@ -374,12 +383,6 @@ def _xml_element(tag: str, attrs: list[tuple[str, str]]) -> str:
     return "\n".join(lines)
 
 
-def _expression_tag(expr: RequirementExpression) -> str:
-    if expr.is_set:
-        return "Requirement_Set" if expr.kind == ExpressionKind.REQUIREMENT else "Need_Set"
-    return "Requirement_Expression" if expr.kind == ExpressionKind.REQUIREMENT else "Need"
-
-
 def export_xmi(model: Model, scope_id: str | None = None) -> str:
     """Profile XMI for the scope: named elements, requirements, sets.
 
@@ -423,7 +426,7 @@ def export_xmi(model: Model, scope_id: str | None = None) -> str:
                 attr_def = model.catalog.attributes[key]
                 attrs.append((mangled_attribute_name(attr_def),
                               expr.attributes[key].display()))
-        out.append(_xml_element(f"{PROFILE}:{_expression_tag(expr)}", attrs))
+        out.append(_xml_element(f"{PROFILE}:{_XMI_TAG_OF[expr.is_set, expr.kind]}", attrs))
     out.append("</xmi:XMI>")
     return "\n".join(out) + "\n"
 
@@ -454,19 +457,23 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     reverse_attr = {mangled_attribute_name(d): key
                     for key, d in model.catalog.attributes.items()}
     reverse_slot = {name: key for key, name in XMI_SLOT_NAMES.items()}
+    fixed_names = {xmi_id_key, "base_Class", "Id", "Text", "Name", "Members", *reverse_slot}
 
     public_of: dict[str, str] = {}
+    elements, requirements, sets = [], [], []  # sets and requirements as (entry, kind)
     for entry in root:
-        iid = entry.get(xmi_id_key)
-        public = entry.get("Id")
+        iid, public = entry.get(xmi_id_key), entry.get("Id")
+        is_element = entry.tag == q + "Named_Element"
         if iid and public:
             public_of[iid] = public
-            if entry.tag != q + "Named_Element":
+            if not is_element:
                 public_of[iid.rstrip("_")] = public
+        if is_element:
+            elements.append(entry)
+        elif (shape := _XMI_TAGS.get(entry.tag.removeprefix(q))) is not None:
+            (sets if shape[0] else requirements).append((entry, shape[1]))
 
-    for entry in root:
-        if entry.tag != q + "Named_Element":
-            continue
+    for entry in elements:
         label = f"element {entry.get('Id')!r}:"
         try:
             kind = ElementKind(entry.get("Kind", "Other"))
@@ -481,12 +488,15 @@ def import_xmi(text: str, catalog: Catalog | None = None,
         public = entry.get("Id")
         return f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
 
+    def _resolve(ref: str, label: str, what: str) -> str:
+        if ref not in public_of:
+            raise CorpusValidationError(f"{label} {what} reference {ref!r} does not resolve")
+        return public_of[ref]
+
     def _read_attrs(entry, label: str) -> dict[str, AttributeValue]:
         out: dict[str, AttributeValue] = {}
         for name, raw in entry.attrib.items():
-            if name in (xmi_id_key, "base_Class", "Id", "Text", "Name", "Members"):
-                continue
-            if name in reverse_slot:
+            if name in fixed_names:
                 continue
             key = reverse_attr.get(name)
             if key is None:
@@ -498,27 +508,12 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                     f"{label} {name} is not an ISO-8601 timestamp: {raw!r}") from None
         return out
 
-    set_entries = []
-    for entry in root:
-        local = entry.tag[len(q):] if entry.tag.startswith(q) else entry.tag
-        if local in ("Requirement_Set", "Need_Set"):
-            set_entries.append((entry, local))
-            continue
-        if local not in ("Requirement_Expression", "Need"):
-            continue
+    for entry, kind in requirements:
         public = entry.get("Id", "")
         label = _label(entry)
         text_value = entry.get("Text", "")
-        kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Expression"
-                else ExpressionKind.NEED)
-        bindings: dict[str, str] = {}
-        for name, key in reverse_slot.items():
-            ref = entry.get(name)
-            if ref is not None:
-                if ref not in public_of:
-                    raise CorpusValidationError(
-                        f"{label} slot reference {ref!r} does not resolve")
-                bindings[key] = public_of[ref]
+        bindings = {key: _resolve(entry.get(name), label, "slot")
+                    for name, key in reverse_slot.items() if entry.get(name) is not None}
         statement = None
         if bindings:
             try:
@@ -536,9 +531,7 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 id=public, name=public, text=text_value, statement=statement,
                 attributes=attributes, kind=kind))
 
-    for entry, local in set_entries:
-        kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Set"
-                else ExpressionKind.NEED)
+    for entry, kind in sets:
         set_id = entry.get("Id", "")
         label = _label(entry)
         attributes = _read_attrs(entry, label)
@@ -546,14 +539,9 @@ def import_xmi(text: str, catalog: Catalog | None = None,
             model.add_set(RequirementSet(
                 id=set_id, name=entry.get("Name", set_id), attributes=attributes,
                 kind=kind))
-    for entry, _ in set_entries:
+    for entry, _ in sets:
         label = _label(entry)
-        members = []
-        for ref in entry.get("Members", "").split():
-            if ref not in public_of:
-                raise CorpusValidationError(
-                    f"{label} member reference {ref!r} does not resolve")
-            members.append(public_of[ref])
+        members = [_resolve(ref, label, "member") for ref in entry.get("Members", "").split()]
         if members:
             with _naming(label):
                 model.set_members(entry.get("Id", ""), members, touch=False)
@@ -603,15 +591,26 @@ def export_reqif(model: Model, scope_id: str | None = None,
     mapping = dict(mapping or {})
     stamp = FIXED_EPOCH.isoformat()
     exprs = model.scope_requirements(scope_id)
+    ids: dict[tuple[str, str], str] = {}  # (kind, name) -> IDENTIFIER, for the ...-REFs
+    taken = {"export", "sot-requirement"}
 
-    used_names: list[str] = ["ReqIF.Text"]
+    def identify(kind: str, name: str, base: str) -> str:
+        """Hand out the IDENTIFIER of (kind, name), in output order: base, or
+        the first free base-2, base-3, ... when an earlier one took base."""
+        ident, n = base, 1
+        while ident in taken:
+            n += 1
+            ident = f"{base}-{n}"
+        taken.add(ident)
+        ids[kind, name] = ident
+        return ident
+
+    used_names: dict[str, None] = {"ReqIF.Text": None}  # in first-use order
     for expr in exprs:
         for key in sorted(expr.attributes):
             if key not in mapping:
                 raise MappingMissingError(key)
-            name = mapping[key]
-            if name not in used_names:
-                used_names.append(name)
+            used_names.setdefault(mapping[key])
 
     out: list[str] = [
         "<?xml version='1.0' encoding='UTF-8'?>",
@@ -629,8 +628,9 @@ def export_reqif(model: Model, scope_id: str | None = None,
         "          <SPEC-ATTRIBUTES>",
     ]
     for name in used_names:
+        ident = identify("ad", name, f"ad-{_identifier(name)}")
         out.append(f"            <ATTRIBUTE-DEFINITION-STRING "
-                   f"IDENTIFIER='ad-{_identifier(name)}' LONG-NAME='{_xml_escape(name)}' />")
+                   f"IDENTIFIER='{ident}' LONG-NAME='{_xml_escape(name)}' />")
     out.extend([
         "          </SPEC-ATTRIBUTES>",
         "        </SPEC-OBJECT-TYPE>",
@@ -640,7 +640,8 @@ def export_reqif(model: Model, scope_id: str | None = None,
 
     for expr in exprs:
         last_change = expr.attributes["A14"].display() if "A14" in expr.attributes else stamp
-        out.append(f"        <SPEC-OBJECT IDENTIFIER='{_xml_escape(expr.id)}' "
+        ident = identify("object", expr.id, expr.id)
+        out.append(f"        <SPEC-OBJECT IDENTIFIER='{_xml_escape(ident)}' "
                    f"LAST-CHANGE='{last_change}'>")
         out.append("          <TYPE><SPEC-OBJECT-TYPE-REF>sot-requirement"
                    "</SPEC-OBJECT-TYPE-REF></TYPE>")
@@ -651,7 +652,7 @@ def export_reqif(model: Model, scope_id: str | None = None,
         for name, value in pairs:
             out.append(f"            <ATTRIBUTE-VALUE-STRING THE-VALUE='{_xml_escape(value)}'>")
             out.append(f"              <DEFINITION><ATTRIBUTE-DEFINITION-STRING-REF>"
-                       f"ad-{_identifier(name)}</ATTRIBUTE-DEFINITION-STRING-REF></DEFINITION>")
+                       f"{ids['ad', name]}</ATTRIBUTE-DEFINITION-STRING-REF></DEFINITION>")
             out.append("            </ATTRIBUTE-VALUE-STRING>")
         out.append("          </VALUES>")
         out.append("        </SPEC-OBJECT>")
@@ -668,7 +669,7 @@ def export_reqif(model: Model, scope_id: str | None = None,
     def _hierarchy(node_id: str, depth: int) -> None:
         pad = " " * (10 + 2 * depth)
         expr = model.expression(node_id)
-        hid = _identifier(f"h-{node_id}")
+        hid = identify("h", node_id, _identifier(f"h-{node_id}"))
         if expr.is_set:
             out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}' "
                        f"LONG-NAME='{_xml_escape(expr.name)}'>")
@@ -679,13 +680,14 @@ def export_reqif(model: Model, scope_id: str | None = None,
             out.append(f"{pad}</SPEC-HIERARCHY>")
         else:
             out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}'>")
-            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{_xml_escape(node_id)}"
+            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{_xml_escape(ids['object', node_id])}"
                        f"</SPEC-OBJECT-REF></OBJECT>")
             out.append(f"{pad}</SPEC-HIERARCHY>")
 
     for root_id in roots:
         rset = model.expression(root_id)
-        out.append(f"        <SPECIFICATION IDENTIFIER='{_xml_escape(root_id)}' "
+        ident = identify("specification", root_id, root_id)
+        out.append(f"        <SPECIFICATION IDENTIFIER='{_xml_escape(ident)}' "
                    f"LONG-NAME='{_xml_escape(rset.name)}'>")
         out.append("          <CHILDREN>")
         if rset.is_set:

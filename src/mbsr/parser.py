@@ -21,7 +21,7 @@ from .catalog import PATTERNS, default_catalog
 from .errors import EmptySlotError, NoShallKeywordError
 from .model import SlotValue, StructuredStatement
 from .records import Record
-from .textscan import Token, tokenize
+from .textscan import _TOKEN_RE, Token, tokenize
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -81,22 +81,14 @@ def _bind(slot_text: str, glossary: Glossary | None) -> str | None:
 
 
 def _uncovered(text: str, covered: list[Span]) -> list[Span]:
-    mask = bytearray(len(text))
-    for start, end in covered:
-        for i in range(max(start, 0), min(end, len(text))):
-            mask[i] = 1
+    """Runs of non-space text outside every covered span, in text order."""
     out: list[Span] = []
-    run_start: int | None = None
-    for i, ch in enumerate(text):
-        if not mask[i] and not ch.isspace():
-            if run_start is None:
-                run_start = i
-        else:
-            if run_start is not None:
-                out.append((run_start, i))
-                run_start = None
-    if run_start is not None:
-        out.append((run_start, len(text)))
+    pos = 0
+    for start, end in sorted(covered):
+        if start < end:  # an empty span covers nothing and must not split a run
+            out.extend(m.span() for m in _TOKEN_RE.finditer(text, pos, start))
+            pos = max(pos, end)
+    out.extend(m.span() for m in _TOKEN_RE.finditer(text, pos))
     return out
 
 

@@ -191,6 +191,15 @@ class TraceView(Record):
         self.copies = [] if copies is None else copies
 
 
+# incoming link kind -> (TraceView field listing its sources, element sources only)
+_INCOMING = {
+    LinkKind.SATISFY: ("satisfied_by", True),
+    LinkKind.VERIFY: ("verified_by", True),
+    LinkKind.REFINE: ("refined_by", False),
+    LinkKind.COPY: ("copies", False),
+}
+
+
 def bidirectional_trace(model: Model, expr_id: str,
                         max_depth: int | None = None) -> TraceView:
     """Upstream and downstream neighbors of one expression.
@@ -201,25 +210,17 @@ def bidirectional_trace(model: Model, expr_id: str,
     """
     if not model.has_expression(expr_id):
         raise UnknownRootError(f"unknown trace root {expr_id!r}")
-    view = TraceView(expression_id=expr_id)
-    view.derives_from = _bfs(model, expr_id, LinkKind.DERIVE, reverse=False,
-                             max_depth=max_depth)
-    view.derived_by = _bfs(model, expr_id, LinkKind.DERIVE, reverse=True,
-                           max_depth=max_depth)
-    view.member_of = model.containing_sets(expr_id)
+    view = TraceView(expr_id,
+                     _bfs(model, expr_id, LinkKind.DERIVE, reverse=False, max_depth=max_depth),
+                     _bfs(model, expr_id, LinkKind.DERIVE, reverse=True, max_depth=max_depth),
+                     model.containing_sets(expr_id))
     for link in model.links_to(expr_id):
-        if link.kind == LinkKind.SATISFY and model.has_element(link.source_id):
-            view.satisfied_by.append(link.source_id)
-        elif link.kind == LinkKind.VERIFY and model.has_element(link.source_id):
-            view.verified_by.append(link.source_id)
-        elif link.kind == LinkKind.REFINE:
-            view.refined_by.append(link.source_id)
-        elif link.kind == LinkKind.COPY:
-            view.copies.append(link.source_id)
-    view.satisfied_by.sort()
-    view.verified_by.sort()
-    view.refined_by.sort()
-    view.copies.sort()
+        if link.kind in _INCOMING:
+            field, elements_only = _INCOMING[link.kind]
+            if not elements_only or model.has_element(link.source_id):
+                getattr(view, field).append(link.source_id)
+    for field, _ in _INCOMING.values():
+        getattr(view, field).sort()
     return view
 
 

@@ -15,7 +15,15 @@ from mbsr import (
     load_catalog,
     validate_catalog,
 )
-from mbsr.catalog import CONSTRAINT_MARKERS, PATTERNS
+from mbsr.blockfile import parse_blocks, split_list
+from mbsr.catalog import (
+    _X_KEY_RE,
+    CONSTRAINT_MARKERS,
+    PATTERNS,
+    AttributeDef,
+    Catalog,
+    _parse_bool,
+)
 from mbsr.errors import CatalogParseError, InvariantViolationError, MbsrError
 
 
@@ -228,18 +236,162 @@ def _fuzz_config(rng):
     return "\n".join(lines) + "\n"
 
 
+# The five override handlers and the loop of load_catalog as first written,
+# one hand-written branch per field, kept as the reference that the
+# table-driven overrides must match.
+
+
+def _reference_override_rule(catalog, block):
+    rid = block.ident
+    if rid not in catalog.rules:
+        raise InvariantViolationError(f"line {block.line}: cannot add rule {rid!r}; the registry is fixed at R1..R42")
+    rule = catalog.rules[rid]
+    for key, value in block.fields.items():
+        line = block.field_lines[key]
+        if key == "name":
+            rule = rule._replace(name=value)
+        elif key == "description":
+            rule = rule._replace(description=value)
+        elif key == "enabled":
+            rule = rule._replace(enabled=_parse_bool(value, line))
+        elif key == "contributes_to":
+            rule = rule._replace(contributes_to=frozenset(split_list(value)))
+        elif key == "automation":
+            try:
+                rule = rule._replace(automation=Automation(value))
+            except ValueError:
+                raise CatalogParseError(f"unknown automation {value!r}", line) from None
+        elif key in ("phrases", "participles"):
+            params = dict(rule.params)
+            params[key] = split_list(value)
+            rule = rule._replace(params=params)
+        else:
+            raise CatalogParseError(f"unknown rule field {key!r}", line)
+    catalog.rules[rid] = rule
+
+
+def _reference_override_attribute(catalog, block):
+    key = block.ident
+    existing = catalog.attributes.get(key)
+    if existing is None:
+        if not _X_KEY_RE.match(key):
+            raise InvariantViolationError(
+                f"line {block.line}: cannot add attribute {key!r}; only X-prefixed extensions may be added")
+        existing = AttributeDef(key, key)
+    attr = existing
+    for fkey, value in block.fields.items():
+        line = block.field_lines[fkey]
+        if fkey == "name":
+            attr = attr._replace(name=value)
+        elif fkey == "group":
+            attr = attr._replace(group=value)
+        elif fkey == "minimum":
+            attr = attr._replace(minimum_set=_parse_bool(value, line))
+        elif fkey == "kind":
+            try:
+                attr = attr._replace(value_kind=ValueKind(value))
+            except ValueError:
+                raise CatalogParseError(f"unknown value kind {value!r}", line) from None
+        elif fkey == "values":
+            attr = attr._replace(value_set=split_list(value) or None)
+        else:
+            raise CatalogParseError(f"unknown attribute field {fkey!r}", line)
+    catalog.attributes[key] = attr
+
+
+def _reference_override_characteristic(catalog, block):
+    cid = block.ident
+    if cid not in catalog.characteristics:
+        raise InvariantViolationError(
+            f"line {block.line}: cannot add characteristic {cid!r}; the registry is fixed at C1..C15")
+    char = catalog.characteristics[cid]
+    for key, value in block.fields.items():
+        line = block.field_lines[key]
+        if key == "name":
+            char = char._replace(name=value)
+        elif key == "derivation":
+            try:
+                char = char._replace(derivation=Derivation(value))
+            except ValueError:
+                raise CatalogParseError(f"unknown derivation {value!r}", line) from None
+        else:
+            raise CatalogParseError(f"unknown characteristic field {key!r}", line)
+    catalog.characteristics[cid] = char
+
+
+def _reference_override_pattern(catalog, block):
+    pid = block.ident
+    if pid not in catalog.patterns:
+        raise InvariantViolationError(f"line {block.line}: unknown pattern {pid!r}")
+    pattern = catalog.patterns[pid]
+    words = dict(pattern.connective_words)
+    for key, value in block.fields.items():
+        line = block.field_lines[key]
+        if key not in ("sr1_markers", "sr5_markers"):
+            raise CatalogParseError(f"unknown pattern field {key!r}", line)
+        slot = key[:3].upper()
+        if slot not in words:
+            raise CatalogParseError(f"{pid} does not read {key}", line)
+        words[slot] = split_list(value)
+    catalog.patterns[pid] = pattern._replace(connective_words=words)
+
+
+def _reference_override_flags(catalog, block):
+    for key, value in block.fields.items():
+        line = block.field_lines[key]
+        if key == "case_insensitive_terms":
+            catalog.case_insensitive_terms = _parse_bool(value, line)
+        elif key == "forbid_trace_links":
+            catalog.forbid_trace_links = _parse_bool(value, line)
+        else:
+            raise CatalogParseError(f"unknown flag {key!r}", line)
+
+
+_REFERENCE_HANDLERS = {
+    "rule": _reference_override_rule,
+    "attribute": _reference_override_attribute,
+    "characteristic": _reference_override_characteristic,
+    "pattern": _reference_override_pattern,
+    "flags": _reference_override_flags,
+}
+
+
+def _reference_load_catalog(text):
+    catalog = load_catalog()
+    try:
+        blocks = parse_blocks(text)
+    except Exception as exc:
+        raise CatalogParseError(str(exc)) from exc
+    for block in blocks:
+        handler = _REFERENCE_HANDLERS.get(block.kind)
+        if handler is None:
+            raise CatalogParseError(f"unknown section kind {block.kind!r}", block.line)
+        handler(catalog, block)
+    validate_catalog(catalog)
+    return catalog
+
+
+def _outcome(load, *args):
+    """The loaded catalog, or the error's type, message and line."""
+    try:
+        return load(*args)
+    except MbsrError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
 def test_load_catalog_fuzz_raises_only_mbsr_errors(tmp_path):
+    """Every generated config loads as the reference loads it: the same
+    catalog, or the same error with the same message and line."""
     rng = random.Random(20261018)
     cfg = tmp_path / "cat.cfg"
     outcomes = set()
-    for _ in range(400):
+    for _ in range(800):
         text = _fuzz_config(rng)
         cfg.write_text(text, encoding="utf-8")
         try:
-            load_catalog(cfg)
-            outcomes.add("loaded")
-        except MbsrError as exc:
-            outcomes.add(type(exc).__name__)
+            got = _outcome(load_catalog, cfg)
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped load_catalog for:\n{text}")
+        assert got == _outcome(_reference_load_catalog, text), text
+        outcomes.add("loaded" if isinstance(got, Catalog) else got[0])
     assert {"loaded", "CatalogParseError", "InvariantViolationError"} <= outcomes

@@ -66,7 +66,16 @@ _PARSE_IDS = {
 
 # fixture -> extra cases run on that fixture only
 _EXTRA = {
+    # between them, the trace cases give every TraceView field a value
+    "tracechain": {
+        "trace-L3-A": ["trace", "L3-A"],
+        "trace-L4-A": ["trace", "L4-A"],
+        "trace-L5-A": ["trace", "L5-A"],
+        "trace-L3-A-copy": ["trace", "L3-A-copy"],
+        "trace-L5-A-depth-1": ["trace", "L5-A", "--depth", "1"],
+    },
     "verdicts": {
+        "trace-V-01": ["trace", "V-01"],
         "matrix-csv-r2-off": ["--config", R2_DISABLED, "matrix", "--format", "csv"],
         "matrix-md-r2-off": ["--config", R2_DISABLED, "matrix", "--format", "md"],
         "export-md-setreview-r2-off": ["--config", R2_DISABLED, "export", "--format",

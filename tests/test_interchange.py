@@ -5,6 +5,7 @@ import re
 import time
 import uuid
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import pytest
 
@@ -35,7 +36,24 @@ from mbsr.errors import (
     MbsrError,
     UnknownColumnError,
 )
-from mbsr.interchange import internal_id, mangled_attribute_name
+from mbsr.interchange import (
+    PROFILE_NS,
+    XMI_NS,
+    XMI_SLOT_NAMES,
+    _decode_attribute,
+    _naming,
+    internal_id,
+    mangled_attribute_name,
+)
+from mbsr.model import (
+    ElementKind,
+    ExpressionKind,
+    ModelElement,
+    RequirementSet,
+    SlotValue,
+    StructuredStatement,
+)
+from mbsr.parser import parse_statement
 from mbsr.rules import verdict_map
 from tests.conftest import CORPUS_DIR, fixed_clock
 
@@ -381,6 +399,50 @@ def test_reqif_export_structure(asteroid_model):
     assert "<SPEC-HIERARCHY" in text
 
 
+def _reqif_identifiers(text):
+    """Every IDENTIFIER of a ReqIF export, and each attribute value's
+    definition LONG-NAME and each hierarchy leaf's object id, read through
+    the ...-REF elements."""
+    from xml.etree import ElementTree
+
+    ns = "{http://www.omg.org/spec/ReqIF/20110401/reqif.xsd}"
+    root = ElementTree.fromstring(text)
+    idents = [e.get("IDENTIFIER") for e in root.iter() if e.get("IDENTIFIER") is not None]
+    by_ident = {e.get("IDENTIFIER"): e for e in root.iter() if e.get("IDENTIFIER")}
+    values = [(by_ident[v.find(f"{ns}DEFINITION/{ns}ATTRIBUTE-DEFINITION-STRING-REF").text]
+               .get("LONG-NAME"), v.get("THE-VALUE"))
+              for v in root.iter(f"{ns}ATTRIBUTE-VALUE-STRING")]
+    leaves = [by_ident[ref.text].tag for ref in root.iter(f"{ns}SPEC-OBJECT-REF")]
+    return idents, values, leaves
+
+
+def test_reqif_identifiers_are_unique_when_mapped_names_clash(catalog):
+    model = loads_corpus(
+        "[requirement R-1]\nname = One\ntext = The System shall run within 1 s.\n"
+        "A01 = why\nA08 = Test\n", catalog, clock=fixed_clock)
+    text = export_reqif(model, mapping={"A01": "V&V Method", "A08": "V-V Method"})
+    idents, values, _ = _reqif_identifiers(text)
+    assert len(idents) == len(set(idents))
+    assert "IDENTIFIER='ad-V-V-Method'" in text and "IDENTIFIER='ad-V-V-Method-2'" in text
+    assert values == [("ReqIF.Text", "The System shall run within 1 s."),
+                      ("V&V Method", "why"), ("V-V Method", "Test")]
+
+
+def test_reqif_identifiers_are_unique_when_hierarchy_ids_clash(catalog):
+    model = loads_corpus(
+        "[requirement A.1]\nname = One\ntext = The System shall run within 1 s.\n\n"
+        "[requirement A-1]\nname = Two\ntext = The System shall stop within 2 s.\n\n"
+        "[requirement export]\nname = Three\ntext = The System shall rest within 3 s.\n\n"
+        "[set S]\nname = Set\nmembers = A.1, A-1, export\n", catalog, clock=fixed_clock)
+    text = export_reqif(model)
+    idents, _, leaves = _reqif_identifiers(text)
+    assert len(idents) == len(set(idents))
+    assert "IDENTIFIER='h-A-1'" in text and "IDENTIFIER='h-A-1-2'" in text
+    assert "<SPEC-OBJECT IDENTIFIER='export-2' " in text
+    assert "<SPEC-OBJECT-REF>export-2</SPEC-OBJECT-REF>" in text
+    assert len(leaves) == 3 and {tag.rsplit("}", 1)[1] for tag in leaves} == {"SPEC-OBJECT"}
+
+
 def test_load_attribute_mapping():
     mapping = load_attribute_mapping("# comment\nA01 = Rationale\n\nA34=Prio\n")
     assert mapping == {"A01": "Rationale", "A34": "Prio"}
@@ -605,21 +667,152 @@ def _damage_xmi(rng, text):
     return text
 
 
+# import_xmi as first written: four passes over the entries, the profile
+# tags spelt out, two copies of the reference check. The model calls, the
+# attribute decoder and the error naming are the package's own, unchanged.
+def _reference_import_xmi(text, catalog, clock, model_uuid):
+    model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
+    try:
+        root = ElementTree.fromstring(text)
+    except ElementTree.ParseError as exc:
+        raise CorpusValidationError(f"not well-formed XMI: {exc}") from exc
+
+    xmi_id_key = f"{{{XMI_NS}}}id"
+    q = f"{{{PROFILE_NS}}}"
+    reverse_attr = {mangled_attribute_name(d): key
+                    for key, d in model.catalog.attributes.items()}
+    reverse_slot = {name: key for key, name in XMI_SLOT_NAMES.items()}
+
+    public_of = {}
+    for entry in root:
+        iid = entry.get(xmi_id_key)
+        public = entry.get("Id")
+        if iid and public:
+            public_of[iid] = public
+            if entry.tag != q + "Named_Element":
+                public_of[iid.rstrip("_")] = public
+
+    for entry in root:
+        if entry.tag != q + "Named_Element":
+            continue
+        label = f"element {entry.get('Id')!r}:"
+        try:
+            kind = ElementKind(entry.get("Kind", "Other"))
+        except ValueError:
+            raise CorpusValidationError(
+                f"{label} unknown element kind {entry.get('Kind')!r}") from None
+        with _naming(label):
+            model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
+
+    def _label(entry):
+        """The message prefix naming an entry: its Id, else its xmi:id."""
+        public = entry.get("Id")
+        return f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
+
+    def _read_attrs(entry, label):
+        out = {}
+        for name, raw in entry.attrib.items():
+            if name in (xmi_id_key, "base_Class", "Id", "Text", "Name", "Members"):
+                continue
+            if name in reverse_slot:
+                continue
+            key = reverse_attr.get(name)
+            if key is None:
+                raise CorpusValidationError(f"{label} unknown profile attribute {name!r}")
+            try:
+                out[key] = _decode_attribute(model.catalog.attributes[key], raw)
+            except ValueError:
+                raise CorpusValidationError(
+                    f"{label} {name} is not an ISO-8601 timestamp: {raw!r}") from None
+        return out
+
+    set_entries = []
+    for entry in root:
+        local = entry.tag[len(q):] if entry.tag.startswith(q) else entry.tag
+        if local in ("Requirement_Set", "Need_Set"):
+            set_entries.append((entry, local))
+            continue
+        if local not in ("Requirement_Expression", "Need"):
+            continue
+        public = entry.get("Id", "")
+        label = _label(entry)
+        text_value = entry.get("Text", "")
+        kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Expression"
+                else ExpressionKind.NEED)
+        bindings = {}
+        for name, key in reverse_slot.items():
+            ref = entry.get(name)
+            if ref is not None:
+                if ref not in public_of:
+                    raise CorpusValidationError(
+                        f"{label} slot reference {ref!r} does not resolve")
+                bindings[key] = public_of[ref]
+        statement = None
+        if bindings:
+            try:
+                parsed, _ = parse_statement(text_value, None, model.catalog)
+            except MbsrError as exc:
+                raise CorpusValidationError(
+                    f"{label} slot references given but the text does not parse: "
+                    f"{type(exc).__name__}: {exc}") from exc
+            statement = StructuredStatement(parsed.pattern, {
+                key: SlotValue(slot.text, bindings.get(key))
+                for key, slot in parsed.slots().items() if slot is not None})
+        attributes = _read_attrs(entry, label)
+        with _naming(label):
+            model.add_expression(RequirementExpression(
+                id=public, name=public, text=text_value, statement=statement,
+                attributes=attributes, kind=kind))
+
+    for entry, local in set_entries:
+        kind = (ExpressionKind.REQUIREMENT if local == "Requirement_Set"
+                else ExpressionKind.NEED)
+        set_id = entry.get("Id", "")
+        label = _label(entry)
+        attributes = _read_attrs(entry, label)
+        with _naming(label):
+            model.add_set(RequirementSet(
+                id=set_id, name=entry.get("Name", set_id), attributes=attributes,
+                kind=kind))
+    for entry, _ in set_entries:
+        label = _label(entry)
+        members = []
+        for ref in entry.get("Members", "").split():
+            if ref not in public_of:
+                raise CorpusValidationError(
+                    f"{label} member reference {ref!r} does not resolve")
+            members.append(public_of[ref])
+        if members:
+            with _naming(label):
+                model.set_members(entry.get("Id", ""), members, touch=False)
+    return model
+
+
+def _import_outcome(import_, text, catalog):
+    """The imported model's corpus and XMI, or the error's type and message."""
+    try:
+        model = import_(text, catalog, fixed_clock, uuid.UUID(int=7))
+    except MbsrError as exc:
+        return type(exc).__name__, str(exc)
+    return "imported", serialize_corpus(model), export_xmi(model)
+
+
 def test_import_xmi_fuzz_raises_only_mbsr_errors(catalog):
+    """Every damaged XMI imports as the reference imports it: the same
+    corpus and XMI, or the same error and message."""
     sources = [export_xmi(load_corpus(CORPUS_DIR / f"{name}.mbsr", catalog,
                                       clock=fixed_clock))
                for name in ("asteroid", "tracechain", "verdicts")]
     rng = random.Random(20261018)
     outcomes = set()
-    for _ in range(200):
+    for _ in range(400):
         text = _damage_xmi(rng, rng.choice(sources))
         try:
-            import_xmi(text, catalog, clock=fixed_clock)
-            outcomes.add("imported")
-        except CorpusValidationError:
-            outcomes.add("CorpusValidationError")
+            got = _import_outcome(import_xmi, text, catalog)
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__}: {exc} escaped import_xmi for:\n{text}")
+        assert got == _import_outcome(_reference_import_xmi, text, catalog), text
+        outcomes.add(got[0])
     assert outcomes == {"imported", "CorpusValidationError"}
 
 

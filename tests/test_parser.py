@@ -207,3 +207,41 @@ def test_marker_lexicon_overrides_do_not_share_cached_markers(tmp_path):
         overridden, _ = parse_statement(text, None, narrow)
         assert overridden.slot("SR3").text == "run with power"
         assert overridden.slot("SR5").text == "within 1 s"
+
+
+def _reference_uncovered(text, covered):
+    """_uncovered as first written: a mask of covered characters, then one
+    scan of the text."""
+    mask = bytearray(len(text))
+    for start, end in covered:
+        for i in range(max(start, 0), min(end, len(text))):
+            mask[i] = 1
+    out = []
+    run_start = None
+    for i, ch in enumerate(text):
+        if not mask[i] and not ch.isspace():
+            if run_start is None:
+                run_start = i
+        else:
+            if run_start is not None:
+                out.append((run_start, i))
+                run_start = None
+    if run_start is not None:
+        out.append((run_start, len(text)))
+    return out
+
+
+def test_uncovered_matches_the_mask_scan():
+    """Every whitespace character, and spans that are empty, reversed,
+    negative, overlapping or past the end of the text."""
+    from mbsr.parser import _uncovered
+
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    alphabet = spaces + list("ab.,_-0é中\U0001f680\x00") + ["\u200b", "\ufeff"]
+    rng = random.Random(20261019)
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 24)))
+        bound = len(text) + 3
+        covered = [(rng.randint(-3, bound), rng.randint(-3, bound))
+                   for _ in range(rng.randrange(0, 5))]
+        assert _uncovered(text, covered) == _reference_uncovered(text, covered), (text, covered)
