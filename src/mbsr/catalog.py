@@ -17,9 +17,6 @@ from .blockfile import Block, parse_blocks, split_list
 from .errors import CatalogParseError, InvariantViolationError
 from .records import Record
 
-# Rules with a checker implementation; catalog automation flags must agree.
-AUTOMATED_RULE_IDS = frozenset({"R1", "R2", "R10", "R16"})
-
 # Reserved id for the open-item token check; not one of R1..R42.
 TBX_ID = "TBX"
 
@@ -172,6 +169,10 @@ _NAMED_RULES: dict[str, tuple[str, str, frozenset[str], dict[str, tuple[str, ...
             "Statement does not contain 'shall not'.",
             frozenset({"C3"}), {}),
 }
+
+# Rules with a checker implementation: each named rule, since each is built
+# as automated; catalog automation flags must agree.
+AUTOMATED_RULE_IDS = frozenset(_NAMED_RULES)
 
 _CHARACTERISTIC_ROWS = (
     ("C1", "Necessary", Applicability.INDIVIDUAL, Derivation.FORMAL_TRANSFORMATION, True, True),

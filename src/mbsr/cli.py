@@ -22,6 +22,7 @@ from .catalog import SLOT_KEYS, TBX_ID, load_catalog
 from .errors import MbsrError, TraceDiscouragedWarning, UnknownIdError
 from .glossary import find_undefined
 from .interchange import (
+    REPORT_TEMPLATES,
     export_dot,
     export_reqif,
     export_table,
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--format", choices=("csv", "md", "xmi", "reqif", "dot", "mbsr"),
                           required=True)
     p_export.add_argument("--columns", help="comma-separated columns for csv export")
-    p_export.add_argument("--template", choices=("Overview", "SetReview"),
+    p_export.add_argument("--template", choices=REPORT_TEMPLATES,
                           default="Overview", help="report template for md export")
     p_export.add_argument("--mapping", help="attribute mapping file for reqif export")
 
@@ -166,19 +167,16 @@ def _cmd_parse(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(model: Model, args: argparse.Namespace) -> int:
-    from .metrics import (compute_slot_completeness, load_history_csv, record_metric,
-                          render_history_csv)
+    from .metrics import compute_slot_completeness, load_history_csv, render_history_csv
 
+    # the model is dropped at exit, so the instance is not recorded in it
     instance = compute_slot_completeness(model, args.scope)
-    record_metric(model, instance)
-    if args.history:
-        path = Path(args.history)
-        history = load_history_csv(path.read_text(encoding="utf-8")) if path.exists() else []
-        history.append(instance)
-        path.write_text(render_history_csv(history), encoding="utf-8")
-        _emit(render_history_csv(history), args.out)
-    else:
-        _emit(render_history_csv([instance]), args.out)
+    path = Path(args.history) if args.history else None
+    history = load_history_csv(path.read_text(encoding="utf-8")) if path and path.exists() else []
+    text = render_history_csv(history + [instance])
+    if path:
+        path.write_text(text, encoding="utf-8")
+    _emit(text, args.out)
     return 0
 
 

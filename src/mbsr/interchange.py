@@ -51,7 +51,6 @@ from .trace import add_link, kdr_view
 if TYPE_CHECKING:
     from .rules import Verdict
 
-BLOCK_KINDS = ("element", "requirement", "set", "term", "link")
 VerdictMap = dict[str, dict[str, "Verdict"]]  # expression id -> node id, as rules.verdict_map
 _VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
@@ -91,9 +90,10 @@ XMI_SLOT_NAMES = {
 # --- corpus loading ---
 
 
-def _entry_error(label: str, exc: MbsrError, line: int | None = None) -> CorpusValidationError:
-    """The model error raised while loading one entry, named by its label."""
-    return CorpusValidationError(f"{label} {type(exc).__name__}: {exc}", line)
+def _block_error(block: Block, message: str, key: str | None = None) -> CorpusValidationError:
+    """A load error naming the block, at the line of its field key, else its own."""
+    return CorpusValidationError(f"[{block.kind} {block.ident}] {message}",
+                                 block.field_lines.get(key, block.line))
 
 
 def _decode_attribute(attr_def: AttributeDef, raw: str) -> AttributeValue:
@@ -110,9 +110,7 @@ _ATTRIBUTE_KEY_RE = re.compile(r"[AX][A-Za-z0-9]")
 def _check_keys(block: Block, known: frozenset[str]) -> None:
     for key in block.fields:
         if key not in known:
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] unknown key {key!r}",
-                block.field_lines.get(key, block.line))
+            raise _block_error(block, f"unknown key {key!r}", key)
 
 
 def _load_element(model: Model, block: Block) -> None:
@@ -120,9 +118,7 @@ def _load_element(model: Model, block: Block) -> None:
     try:
         kind = ElementKind(block.fields.get("kind", "Other"))
     except ValueError:
-        raise CorpusValidationError(
-            f"[element {block.ident}] unknown element kind {block.fields.get('kind')!r}",
-            block.line) from None
+        raise _block_error(block, f"unknown element kind {block.fields.get('kind')!r}") from None
     model.add_element(ModelElement(block.ident, block.fields.get("name", block.ident), kind))
 
 
@@ -131,9 +127,7 @@ def _load_term(model: Model, block: Block) -> None:
     allocations = split_list(block.fields.get("allocations", ""))
     for element_id in allocations:
         if not model.has_element(element_id):
-            raise CorpusValidationError(
-                f"[term {block.ident}] allocation {element_id!r} is not a known element",
-                block.line)
+            raise _block_error(block, f"allocation {element_id!r} is not a known element")
     term = GlossaryTerm(
         term=block.ident,
         synonyms=split_list(block.fields.get("synonyms", "")),
@@ -149,9 +143,7 @@ def _expression_kind(block: Block) -> ExpressionKind:
     try:
         return ExpressionKind(raw)
     except ValueError:
-        raise CorpusValidationError(
-            f"[{block.kind} {block.ident}] unknown expression kind {raw!r}",
-            block.line) from None
+        raise _block_error(block, f"unknown expression kind {raw!r}") from None
 
 
 def _statement_from_fields(block: Block) -> StructuredStatement | None:
@@ -162,16 +154,12 @@ def _statement_from_fields(block: Block) -> StructuredStatement | None:
         ref = block.fields.get(ref_key)
         if text is None:
             if ref is not None:
-                raise CorpusValidationError(
-                    f"[{block.kind} {block.ident}] {ref_key} given without {low}",
-                    block.field_lines.get(ref_key, block.line))
+                raise _block_error(block, f"{ref_key} given without {low}", ref_key)
             continue
         slot_values[key] = SlotValue(text, ref)
     if pattern is None:
         if slot_values:
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] slot values given without a pattern",
-                block.line)
+            raise _block_error(block, "slot values given without a pattern")
         return None
     return StructuredStatement(pattern, slot_values)
 
@@ -185,20 +173,14 @@ def _read_attributes(catalog: Catalog, block: Block,
         if key in reserved:
             continue
         if not _ATTRIBUTE_KEY_RE.match(key):
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] unknown key {key!r}",
-                block.field_lines.get(key, block.line))
+            raise _block_error(block, f"unknown key {key!r}", key)
         attr_def = catalog.attributes.get(key)
         if attr_def is None:
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] unknown attribute key {key!r}",
-                block.field_lines.get(key, block.line))
+            raise _block_error(block, f"unknown attribute key {key!r}", key)
         try:
             attributes[key] = _decode_attribute(attr_def, raw)
         except ValueError:
-            raise CorpusValidationError(
-                f"[{block.kind} {block.ident}] {key}: not an ISO-8601 timestamp: {raw!r}",
-                block.field_lines.get(key, block.line)) from None
+            raise _block_error(block, f"{key}: not an ISO-8601 timestamp: {raw!r}", key) from None
     return attributes
 
 
@@ -235,14 +217,11 @@ def _load_link(model: Model, block: Block) -> None:
     _check_keys(block, _LINK_KEYS)
     missing = _LINK_KEYS - block.fields.keys()
     if missing:
-        raise CorpusValidationError(
-            f"[link {block.ident}] missing key(s) {sorted(missing)}", block.line)
+        raise _block_error(block, f"missing key(s) {sorted(missing)}")
     try:
         kind = LinkKind(block.fields["kind"])
     except ValueError:
-        raise CorpusValidationError(
-            f"[link {block.ident}] unknown link kind {block.fields['kind']!r}",
-            block.line) from None
+        raise _block_error(block, f"unknown link kind {block.fields['kind']!r}") from None
     add_link(model, kind, block.fields["source"], block.fields["target"],
              link_id=block.ident, touch=False)
 
@@ -268,7 +247,7 @@ def loads_corpus(text: str, catalog: Catalog | None = None,
     CorpusValidationError naming the block and its line."""
     model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
     blocks = parse_blocks(text)
-    by_kind: dict[str, list[Block]] = {kind: [] for kind in BLOCK_KINDS}
+    by_kind: dict[str, list[Block]] = {kind: [] for kind, _ in _PASSES}
     for block in blocks:
         if block.kind not in by_kind:
             raise CorpusValidationError(
@@ -281,7 +260,7 @@ def loads_corpus(text: str, catalog: Catalog | None = None,
             except CorpusValidationError:
                 raise
             except MbsrError as exc:
-                raise _entry_error(f"[{block.kind} {block.ident}]", exc, block.line) from exc
+                raise _block_error(block, f"{type(exc).__name__}: {exc}") from exc
     return model
 
 
@@ -369,16 +348,25 @@ def mangled_attribute_name(attr_def: AttributeDef) -> str:
     return base + ("_" if attr_def.minimum_set else "")
 
 
-def _xml_escape(value: str) -> str:
+# the characters XML 1.0 forbids, even as character references
+_XML_FORBIDDEN_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _xml_escape(value: str, kind: str, ident: str) -> str:
+    """value escaped for a single-quoted XML attribute; CorpusValidationError
+    naming the kind and id that hold it for a character XML 1.0 forbids."""
+    if bad := _XML_FORBIDDEN_RE.search(value):
+        raise CorpusValidationError(
+            f"{kind} {ident!r}: character U+{ord(bad.group()):04X} cannot be written to XML 1.0")
     return (value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace("'", "&apos;").replace("\r", "&#13;").replace("\n", "&#10;")
             .replace("\t", "&#9;"))
 
 
-def _xml_element(tag: str, attrs: list[tuple[str, str]]) -> str:
+def _xml_element(tag: str, attrs: list[tuple[str, str]], kind: str, ident: str) -> str:
     lines = [f"  <{tag}"]
     for name, value in attrs:
-        lines.append(f"      {name}='{_xml_escape(value)}'")
+        lines.append(f"      {name}='{_xml_escape(value, kind, ident)}'")
     lines.append("  />")
     return "\n".join(lines)
 
@@ -402,7 +390,7 @@ def export_xmi(model: Model, scope_id: str | None = None) -> str:
             ("Id", element.element_id),
             ("Name", element.name),
             ("Kind", element.kind.value),
-        ]))
+        ], "element", element.element_id))
     for expr in exprs:
         base = internal_id(model, expr.id)
         attrs: list[tuple[str, str]] = [
@@ -426,7 +414,8 @@ def export_xmi(model: Model, scope_id: str | None = None) -> str:
                 attr_def = model.catalog.attributes[key]
                 attrs.append((mangled_attribute_name(attr_def),
                               expr.attributes[key].display()))
-        out.append(_xml_element(f"{PROFILE}:{_XMI_TAG_OF[expr.is_set, expr.kind]}", attrs))
+        out.append(_xml_element(f"{PROFILE}:{_XMI_TAG_OF[expr.is_set, expr.kind]}", attrs,
+                                "set" if expr.is_set else "requirement", expr.id))
     out.append("</xmi:XMI>")
     return "\n".join(out) + "\n"
 
@@ -554,7 +543,7 @@ def _naming(label: str) -> Iterator[None]:
     try:
         yield
     except MbsrError as exc:
-        raise _entry_error(label, exc) from exc
+        raise CorpusValidationError(f"{label} {type(exc).__name__}: {exc}") from exc
 
 
 # --- ReqIF-lite export ---
@@ -591,7 +580,9 @@ def export_reqif(model: Model, scope_id: str | None = None,
     mapping = dict(mapping or {})
     stamp = FIXED_EPOCH.isoformat()
     exprs = model.scope_requirements(scope_id)
-    ids: dict[tuple[str, str], str] = {}  # (kind, name) -> IDENTIFIER, for the ...-REFs
+    # (kind, name) -> IDENTIFIER, for the ...-REFs; ids are plain (model.ID_RE)
+    # and so are the identifiers made from names, so none needs escaping
+    ids: dict[tuple[str, str], str] = {}
     taken = {"export", "sot-requirement"}
 
     def identify(kind: str, name: str, base: str) -> str:
@@ -629,8 +620,9 @@ def export_reqif(model: Model, scope_id: str | None = None,
     ]
     for name in used_names:
         ident = identify("ad", name, f"ad-{_identifier(name)}")
+        long_name = _xml_escape(name, "mapping name", name)
         out.append(f"            <ATTRIBUTE-DEFINITION-STRING "
-                   f"IDENTIFIER='{ident}' LONG-NAME='{_xml_escape(name)}' />")
+                   f"IDENTIFIER='{ident}' LONG-NAME='{long_name}' />")
     out.extend([
         "          </SPEC-ATTRIBUTES>",
         "        </SPEC-OBJECT-TYPE>",
@@ -641,8 +633,7 @@ def export_reqif(model: Model, scope_id: str | None = None,
     for expr in exprs:
         last_change = expr.attributes["A14"].display() if "A14" in expr.attributes else stamp
         ident = identify("object", expr.id, expr.id)
-        out.append(f"        <SPEC-OBJECT IDENTIFIER='{_xml_escape(ident)}' "
-                   f"LAST-CHANGE='{last_change}'>")
+        out.append(f"        <SPEC-OBJECT IDENTIFIER='{ident}' LAST-CHANGE='{last_change}'>")
         out.append("          <TYPE><SPEC-OBJECT-TYPE-REF>sot-requirement"
                    "</SPEC-OBJECT-TYPE-REF></TYPE>")
         out.append("          <VALUES>")
@@ -650,7 +641,8 @@ def export_reqif(model: Model, scope_id: str | None = None,
         for key in sorted(expr.attributes):
             pairs.append((mapping[key], expr.attributes[key].display()))
         for name, value in pairs:
-            out.append(f"            <ATTRIBUTE-VALUE-STRING THE-VALUE='{_xml_escape(value)}'>")
+            value = _xml_escape(value, "requirement", expr.id)
+            out.append(f"            <ATTRIBUTE-VALUE-STRING THE-VALUE='{value}'>")
             out.append(f"              <DEFINITION><ATTRIBUTE-DEFINITION-STRING-REF>"
                        f"{ids['ad', name]}</ATTRIBUTE-DEFINITION-STRING-REF></DEFINITION>")
             out.append("            </ATTRIBUTE-VALUE-STRING>")
@@ -672,7 +664,7 @@ def export_reqif(model: Model, scope_id: str | None = None,
         hid = identify("h", node_id, _identifier(f"h-{node_id}"))
         if expr.is_set:
             out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}' "
-                       f"LONG-NAME='{_xml_escape(expr.name)}'>")
+                       f"LONG-NAME='{_xml_escape(expr.name, 'set', node_id)}'>")
             out.append(f"{pad}  <CHILDREN>")
             for member in expr.members:
                 _hierarchy(member, depth + 2)
@@ -680,15 +672,15 @@ def export_reqif(model: Model, scope_id: str | None = None,
             out.append(f"{pad}</SPEC-HIERARCHY>")
         else:
             out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}'>")
-            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{_xml_escape(ids['object', node_id])}"
+            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{ids['object', node_id]}"
                        f"</SPEC-OBJECT-REF></OBJECT>")
             out.append(f"{pad}</SPEC-HIERARCHY>")
 
     for root_id in roots:
         rset = model.expression(root_id)
         ident = identify("specification", root_id, root_id)
-        out.append(f"        <SPECIFICATION IDENTIFIER='{_xml_escape(ident)}' "
-                   f"LONG-NAME='{_xml_escape(rset.name)}'>")
+        out.append(f"        <SPECIFICATION IDENTIFIER='{ident}' "
+                   f"LONG-NAME='{_xml_escape(rset.name, 'set', root_id)}'>")
         out.append("          <CHILDREN>")
         if rset.is_set:
             for member in rset.members:
@@ -817,25 +809,8 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
     return "\n".join(lines)
 
 
-def _tbx_occurrences(model: Model, expr: RequirementExpression
-                     ) -> list[tuple[str, str]]:
-    """(token, location) pairs for every placeholder in text and attributes."""
-    from .rules import TBX_RE
-
-    found: list[tuple[str, str]] = []
-    for match in TBX_RE.finditer(expr.text):
-        found.append((match.group(0), f"text {match.start()}..{match.end()}"))
-    for key in sorted(expr.attributes):
-        value = expr.attributes[key]
-        if value.kind != ValueKind.TEXT:
-            continue
-        for match in TBX_RE.finditer(str(value.value)):
-            found.append((match.group(0), f"attribute {key}"))
-    return found
-
-
 def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap | None) -> str:
-    from .rules import _enabled_checks
+    from .rules import TBX_RE, _attribute_placeholders, _enabled_checks
 
     if scope_id and scope_id != "all":
         set_ids = [scope_id] + [i for i in model.transitive_members(scope_id)
@@ -872,8 +847,10 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
         lines.append("")
         occurrences: list[str] = []
         for expr in rows:
-            for token, where in _tbx_occurrences(model, expr):
-                occurrences.append(f"- {expr.id}: {token} ({where})")
+            for match in TBX_RE.finditer(expr.text):
+                occurrences.append(f"- {expr.id}: {match[0]} (text {match.start()}..{match.end()})")
+            for key, match in _attribute_placeholders(expr):
+                occurrences.append(f"- {expr.id}: {match[0]} (attribute {key})")
         lines.append(f"{len(occurrences)} unresolved placeholder(s)")
         lines.extend(occurrences)
         lines.append("")

@@ -50,8 +50,7 @@ def compute_slot_completeness(model: Model, scope_id: str | None = None,
             continue
         complete += 1
         for i, key in enumerate(SLOT_KEYS):
-            slot = expr.statement.slot(key)
-            if slot is not None and slot.text:
+            if expr.statement.slot(key) is not None:  # a slot never holds empty text
                 counts[i] += 1
     pct = round(100.0 * complete / total, 2) if total else 0.0
     return MetricInstance(

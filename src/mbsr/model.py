@@ -307,7 +307,7 @@ class Model:
             self._validate_attribute(key, value)
         if expr.statement is not None:
             self._validate_statement(expr.statement)
-        if isinstance(expr, RequirementSet):
+        if expr.is_set:
             self._check_members(expr.id, expr.members)
             for member in expr.members:
                 self._parent[member] = expr.id
@@ -341,7 +341,7 @@ class Model:
         """Replace a set's member list; touch=False skips the change stamp
         (used when loaders rebuild state rather than mutate it)."""
         rset = self.expression(set_id)
-        if not isinstance(rset, RequirementSet):
+        if not rset.is_set:
             raise UnknownScopeError(f"{set_id!r} is not a set")
         self._check_members(set_id, members)
         if members != rset.members:
@@ -446,7 +446,7 @@ class Model:
 
     def transitive_members(self, set_id: str) -> list[str]:
         expr = self._expressions.get(set_id)
-        if not isinstance(expr, RequirementSet):
+        if expr is None or not expr.is_set:
             raise UnknownScopeError(f"{set_id!r} is not a known set")
         out: list[str] = []
         seen: set[str] = set()
@@ -458,7 +458,7 @@ class Model:
                 seen.add(member)
                 out.append(member)
                 child = self._expressions[member]
-                if isinstance(child, RequirementSet):
+                if child.is_set:
                     walk(child)
 
         walk(expr)

@@ -221,5 +221,5 @@ def render_statement(statement: StructuredStatement) -> str:
 
 
 def count_shall(text: str) -> int:
-    """Word-bounded 'shall' occurrences; used by the singularity heuristic."""
+    """Word-bounded 'shall' occurrences; R1 reads them from _decompose instead."""
     return sum(1 for t in tokenize(text) if t.text.lower() == "shall")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .catalog import TBX_ID, Applicability, Automation, Catalog, RuleDef, ValueKind
 from .errors import MbsrError, NoShallKeywordError
@@ -163,21 +163,25 @@ def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[Rul
     return _check(text, catalog, expression_id, _enabled_checks(catalog))
 
 
+def _attribute_placeholders(expr: RequirementExpression) -> Iterator[tuple[str, re.Match[str]]]:
+    """(attribute key, match) for each placeholder in the expression's text
+    attributes, in key order, then text order."""
+    for key in sorted(expr.attributes):
+        value = expr.attributes[key]
+        if value.kind == ValueKind.TEXT:
+            for match in TBX_RE.finditer(str(value.value)):
+                yield key, match
+
+
 def _check_expression(model: Model, expr: RequirementExpression,
                       checks: _Checks) -> list[RuleFinding]:
     findings = _check(expr.text, model.catalog, expr.id, checks)
     if findings[-1].verdict is Verdict.SATISFY:  # TBX comes last
-        for key in sorted(expr.attributes):
-            value = expr.attributes[key]
-            if value.kind != ValueKind.TEXT:
-                continue
-            match = TBX_RE.search(str(value.value))
-            if match:
-                findings[-1] = RuleFinding(
-                    TBX_ID, expr.id, Verdict.VIOLATE,
-                    f"unresolved placeholder {match.group(0)!r} in attribute {key}",
-                    None)
-                break
+        for key, match in _attribute_placeholders(expr):
+            findings[-1] = RuleFinding(
+                TBX_ID, expr.id, Verdict.VIOLATE,
+                f"unresolved placeholder {match.group(0)!r} in attribute {key}", None)
+            break
     return findings
 
 

@@ -19,10 +19,11 @@ from .errors import (
     UnknownIdError,
     UnknownRootError,
 )
-from .model import LinkKind, Model, RequirementSet, TraceLink
+from .model import LinkKind, Model, TraceLink
 from .records import Record
 
-ACYCLIC_KINDS = (LinkKind.DERIVE, LinkKind.CONTAINMENT, LinkKind.COPY)
+# Containment is absent: set membership checks its own cycles
+ACYCLIC_KINDS = (LinkKind.DERIVE, LinkKind.COPY)
 
 
 def _known(model: Model, any_id: str) -> bool:
@@ -65,7 +66,7 @@ def synthesized_containment(model: Model) -> list[TraceLink]:
     """One containment edge per direct set membership, container as source."""
     out: list[TraceLink] = []
     for expr in model.expressions():
-        if isinstance(expr, RequirementSet):
+        if expr.is_set:
             for member in expr.members:
                 out.append(TraceLink(f"cnt:{expr.id}:{member}", LinkKind.CONTAINMENT,
                                      expr.id, member))
@@ -96,7 +97,7 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
         _require_expression(model, source_id, "source", kind)
         _require_expression(model, target_id, "target", kind)
         container = model.expression(source_id)
-        if not isinstance(container, RequirementSet):
+        if not container.is_set:
             raise KindConstraintViolationError(
                 f"Containment source {source_id!r} must be a set")
         model.set_members(source_id, list(container.members) + [target_id], touch=touch)
@@ -125,11 +126,8 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
             f"generic Trace link {source_id} -> {target_id}: prefer a specific kind",
             TraceDiscouragedWarning, stacklevel=2)
 
-    if kind == LinkKind.COPY:
-        for link in model.links_from(source_id):
-            if link.kind == LinkKind.COPY:
-                raise KindConstraintViolationError(
-                    f"{source_id!r} already mirrors {link.target_id!r}")
+    if kind == LinkKind.COPY and (mirrored := model.copy_source_of(source_id)) is not None:
+        raise KindConstraintViolationError(f"{source_id!r} already mirrors {mirrored!r}")
 
     if kind in ACYCLIC_KINDS:
         for layer in _layers(model, target_id, kind):
@@ -152,7 +150,7 @@ def remove_link(model: Model, link_id: str) -> None:
     set_id, _, member = rest.partition(":")
     if prefix == "cnt" and model.has_expression(set_id):
         container = model.expression(set_id)
-        if isinstance(container, RequirementSet) and member in container.members:
+        if container.is_set and member in container.members:
             model.set_members(set_id, [m for m in container.members if m != member])
             return
     if not model.has_link(link_id):

@@ -38,6 +38,14 @@ def test_automated_rules_have_checkers(catalog):
         assert rule.automation is expected, rid
 
 
+def test_automated_rule_ids_are_the_checker_table():
+    # validate_catalog ties each automation flag to AUTOMATED_RULE_IDS, and
+    # the rule checker runs the rules in its own table
+    from mbsr.rules import _CHECKERS
+
+    assert set(_CHECKERS) == AUTOMATED_RULE_IDS
+
+
 def test_every_rule_contributes_to_known_characteristics(catalog):
     for rule in catalog.rules.values():
         for cid in rule.contributes_to:

@@ -237,6 +237,18 @@ def test_export_reqif_non_utf8_mapping_exits_two(capsys, tmp_path):
     assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("fmt", ["xmi", "reqif"])
+def test_export_of_a_character_xml_forbids_exits_two(capsys, tmp_path, fmt):
+    corpus = tmp_path / "t.mbsr"
+    corpus.write_text("[requirement R-1]\ntext = The System shall log\x01 data within 1 s.\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", str(corpus), "export", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: requirement 'R-1': character U+0001 "
+                   "cannot be written to XML 1.0\n")
+
+
 def test_export_csv_custom_columns(capsys):
     code, out, err = run(capsys, "--corpus", ASTEROID, "export",
                          "--format", "csv", "--columns", "id,SR3,A40")

@@ -38,6 +38,7 @@ from mbsr.errors import (
 )
 from mbsr.interchange import (
     PROFILE_NS,
+    REQIF_NS,
     XMI_NS,
     XMI_SLOT_NAMES,
     _decode_attribute,
@@ -289,6 +290,58 @@ def test_xmi_escapes_quotes_and_newlines(catalog):
     assert "&apos;a&lt;b&apos;" in xmi
     assert "line one&#10;line two" in xmi
     import_xmi(xmi, catalog)  # escaping must stay parseable
+
+
+_TEXT = "The System shall log data within 1 s."
+
+# case -> (corpus text, the holder and code point named by the error)
+_XML_FORBIDDEN = {
+    "requirement text": ("[requirement R-1]\ntext = The System shall log\x01 data within 1 s.\n",
+                         "requirement 'R-1'", "U+0001"),
+    "text attribute": (f"[requirement R-1]\ntext = {_TEXT}\nA01 = margin\x1b TBD\n",
+                       "requirement 'R-1'", "U+001B"),
+    "set name": (f"[requirement R-1]\ntext = {_TEXT}\n\n"
+                 "[set S-1]\nname = All\x08 of them\nmembers = R-1\n", "set 'S-1'", "U+0008"),
+    "element name": ("[element blk-a]\nname = Log\x02ger\nkind = Block\n",
+                     "element 'blk-a'", "U+0002"),
+}
+
+
+@pytest.mark.parametrize("case", _XML_FORBIDDEN)
+def test_xml_exports_reject_a_character_xml_1_0_forbids(case, catalog):
+    text, holder, code_point = _XML_FORBIDDEN[case]
+    model = loads_corpus(text, catalog, clock=fixed_clock)
+    # the corpus format carries the character
+    assert serialize_corpus(loads_corpus(serialize_corpus(model), catalog)) == \
+        serialize_corpus(model)
+    message = f"{holder}: character {code_point} cannot be written to XML 1.0"
+    with pytest.raises(CorpusValidationError) as exc:
+        export_xmi(model)
+    assert str(exc.value) == message
+    if case != "element name":  # ReqIF carries no element
+        with pytest.raises(CorpusValidationError) as exc:
+            export_reqif(model, mapping={"A01": "Rationale"})
+        assert str(exc.value) == message
+
+
+def test_reqif_rejects_a_mapped_name_xml_1_0_forbids(catalog):
+    model = loads_corpus(f"[requirement R-1]\ntext = {_TEXT}\nA01 = why\n", catalog)
+    with pytest.raises(CorpusValidationError) as exc:
+        export_reqif(model, mapping={"A01": "Ratio\x7f\x00nale"})
+    assert str(exc.value) == ("mapping name 'Ratio\\x7f\\x00nale': "
+                              "character U+0000 cannot be written to XML 1.0")
+
+
+def test_xml_exports_keep_every_character_xml_1_0_allows(catalog):
+    model = Model(catalog=catalog, clock=fixed_clock)
+    odd = "tab\there\rcr\x7f\x85\ud7ff\ue000\ufffd\U0001f600 end"
+    model.add_expression(RequirementExpression("R-1", text=_TEXT))
+    model.set_attribute("R-1", "A01", AttributeValue.text(odd))
+    back = import_xmi(export_xmi(model), catalog)
+    assert back.expression("R-1").attributes["A01"].value == odd
+    reqif = ElementTree.fromstring(export_reqif(model, mapping={"A01": "Why", "A14": "When"}))
+    values = [e.get("THE-VALUE") for e in reqif.iter(f"{{{REQIF_NS}}}ATTRIBUTE-VALUE-STRING")]
+    assert odd in values
 
 
 def test_xmi_set_members_are_space_separated_internal_ids(asteroid_model):
@@ -846,3 +899,14 @@ def test_import_xmi_names_the_entry_with_an_unknown_attribute(tracechain_model, 
     with pytest.raises(CorpusValidationError) as exc:
         import_xmi(bad, catalog, clock=fixed_clock)
     assert str(exc.value) == "L4-A: unknown profile attribute 'Bogus_Name'"
+
+
+def test_import_xmi_reports_an_unresolved_slot_reference_before_an_unknown_attribute(
+        asteroid_model, catalog):
+    xmi = export_xmi(asteroid_model)
+    ref = f"SR2_Subject='{internal_id(asteroid_model, 'blk-spacecraft')}'"
+    assert xmi.index(ref) > xmi.index("Id='L3-EX.1'")
+    bad = xmi.replace(ref, "SR2_Subject='NOPE' Bogus_Name='x'", 1)
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(bad, catalog, clock=fixed_clock)
+    assert str(exc.value) == "L3-EX.1: slot reference 'NOPE' does not resolve"

@@ -15,11 +15,13 @@ from mbsr import (
     RequirementExpression,
     RequirementSet,
     TBX_ID,
+    ValueKind,
     Verdict,
     apply_verdicts,
     check_expression,
     check_scope,
     check_text,
+    generate_report,
     load_catalog,
     load_corpus,
     rollup,
@@ -107,6 +109,39 @@ def test_tbx_in_text_wins_over_attributes(catalog):
     tbx = next(f for f in findings if f.rule_id == TBX_ID)
     assert tbx.verdict is Verdict.VIOLATE
     assert tbx.span is not None  # span points into the statement text
+
+
+_PLACEHOLDER_WORDS = ("TBD", "TBC", "TBR", "TBN", "tbd", "STBD", "TBX", "TBDs", "plain")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tbx_violates_exactly_when_set_review_lists_a_placeholder(catalog, seed):
+    """The TBX finding and the SetReview summary read one placeholder scan."""
+    rng = random.Random(seed)
+    text_keys = [k for k, d in catalog.attributes.items()
+                 if d.value_kind is ValueKind.TEXT and k not in ("A15", "A16")]
+    model = Model(catalog=catalog, clock=fixed_clock)
+    ids = [f"R-{n:02d}" for n in range(60)]
+    for expr_id in ids:
+        word = rng.choice(_PLACEHOLDER_WORDS) if rng.random() < 0.2 else "1"
+        model.add_expression(RequirementExpression(
+            expr_id, text=f"The System shall run within {word} s."))
+        for key in rng.sample(text_keys, rng.randrange(4)):
+            words = rng.choices(_PLACEHOLDER_WORDS, k=rng.randrange(1, 4))
+            model.set_attribute(expr_id, key, AttributeValue.text(" ".join(words)))
+        if rng.random() < 0.5:
+            model.set_attribute(expr_id, "A34", AttributeValue.enum("High"))
+    model.add_set(RequirementSet("S-1", name="All", members=ids))
+    report = generate_report(model, None, "SetReview")
+    listed = {line[2:].split(":")[0] for line in report.split("\n") if line.startswith("- ")}
+    violated = set()
+    for expr_id in ids:
+        tbx = check_expression(model, model.expression(expr_id))[-1]
+        assert tbx.rule_id == TBX_ID
+        if tbx.verdict is Verdict.VIOLATE:
+            violated.add(expr_id)
+    assert violated == listed
+    assert 0 < len(violated) < len(ids)
 
 
 def test_disabled_rule_is_skipped(tmp_path):
