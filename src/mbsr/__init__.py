@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "blockfile": (),
     "catalog": (
-        "AUTOMATED_RULE_IDS",
         "TBX_ID",
         "Applicability",
         "AttributeDef",

@@ -115,6 +115,11 @@ class Catalog(Record):
         self.case_insensitive_terms = case_insensitive_terms
         self.forbid_trace_links = forbid_trace_links
 
+    def automated_rules(self) -> list[RuleDef]:
+        """The rules marked Automated, disabled ones too, in rule-number
+        order: the order load_catalog builds the registry in."""
+        return [rule for rule in self.rules.values() if rule.automation == Automation.AUTOMATED]
+
     def characteristics_for(self, applicability: Applicability) -> list[CharacteristicDef]:
         return [c for c in self.characteristics.values() if c.applicability == applicability]
 
@@ -155,6 +160,9 @@ _NAMED_ATTRIBUTES: dict[str, tuple[str, bool, ValueKind, tuple[str, ...] | None]
     "A40": ("Type", True, ValueKind.TEXT, None),
 }
 
+# A rule with a "phrases" list is a phrase rule: it is violated by the first
+# listed phrase found in the text. "messages" holds its Violate message, with
+# {!r} standing for the phrase found, then its Satisfy message.
 _NAMED_RULES: dict[str, tuple[str, str, frozenset[str], dict[str, tuple[str, ...]]]] = {
     "R1": ("Structured Statement",
            "Statement decomposes into the pattern slots with a single 'shall'.",
@@ -164,15 +172,20 @@ _NAMED_RULES: dict[str, tuple[str, str, frozenset[str], dict[str, tuple[str, ...
            frozenset({"C3"}), {"participles": _IRREGULAR_PARTICIPLES}),
     "R10": ("Superfluous Verbiage",
             "Statement avoids configured filler phrases.",
-            frozenset({"C3"}), {"phrases": _SUPERFLUOUS_PHRASES}),
+            frozenset({"C3"}), {"phrases": _SUPERFLUOUS_PHRASES,
+                                "messages": ("superfluous phrase {!r}",
+                                             "no superfluous phrase found")}),
     "R16": ("Avoid Shall Not",
             "Statement does not contain 'shall not'.",
-            frozenset({"C3"}), {}),
+            frozenset({"C3"}), {"phrases": ("shall not",),
+                                "messages": ("'shall not' states what must not happen; "
+                                             "state the required behavior instead",
+                                             "no 'shall not' found")}),
 }
 
-# Rules with a checker implementation: each named rule, since each is built
-# as automated; catalog automation flags must agree.
-AUTOMATED_RULE_IDS = frozenset(_NAMED_RULES)
+# The rules that rules._CHECKERS checks by code; every other automated rule
+# is a phrase rule.
+_CODE_CHECKED_RULE_IDS = frozenset({"R1", "R2"})
 
 _CHARACTERISTIC_ROWS = (
     ("C1", "Necessary", Applicability.INDIVIDUAL, Derivation.FORMAL_TRANSFORMATION, True, True),
@@ -237,10 +250,10 @@ def validate_catalog(catalog: Catalog) -> None:
     if len(rules) != 42 or set(rules) != {f"R{n}" for n in range(1, 43)}:
         raise InvariantViolationError(f"rule registry must hold exactly R1..R42, got {len(rules)} entries")
     for rule in rules.values():
-        is_auto = rule.automation == Automation.AUTOMATED
-        if is_auto != (rule.rule_id in AUTOMATED_RULE_IDS):
+        if (rule.automation == Automation.AUTOMATED and "phrases" not in rule.params
+                and rule.rule_id not in _CODE_CHECKED_RULE_IDS):
             raise InvariantViolationError(
-                f"{rule.rule_id}: automation flag must match checker availability")
+                f"{rule.rule_id}: an automated rule needs a code checker or phrases")
         missing = rule.contributes_to - set(catalog.characteristics)
         if missing:
             raise InvariantViolationError(

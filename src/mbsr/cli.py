@@ -190,10 +190,10 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
-    from .rules import _CHECKERS, check_scope, verdict_map
+    from .rules import check_scope, verdict_map
 
     # every automated rule keeps its column, a disabled one too
-    columns = ["id", *_CHECKERS, TBX_ID]
+    columns = ["id", *(rule.rule_id for rule in model.catalog.automated_rules()), TBX_ID]
     verdicts = verdict_map(check_scope(model, args.scope))
     if args.format == "csv":
         _emit(export_table(model, args.scope, columns, verdicts), args.out)

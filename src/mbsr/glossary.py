@@ -145,33 +145,3 @@ def find_undefined(text: str, glossary: Glossary,
         out.append(word)
     return out
 
-
-def usage_counts(texts: dict[str, str], glossary: Glossary) -> dict[str, int]:
-    """Term -> number of annotated occurrences across the given texts."""
-    counts = {term.term: 0 for term in glossary.terms()}
-    for text in texts.values():
-        for _, _, name in annotate(text, glossary):
-            counts[name] += 1
-    return counts
-
-
-def reconcile_allocations(model) -> list[tuple[str, str, str]]:
-    """Report slot bindings that bypass a term's declared allocations.
-
-    Returns (term, element_id, status) rows where status is 'unallocated'
-    for bindings on slots whose text names the term but whose element is
-    absent from the term's allocation set. Duplication between glossary
-    allocations and slot bindings is reported, never auto-merged.
-    """
-    rows: list[tuple[str, str, str]] = []
-    for expr in model.expressions():
-        stmt = expr.statement
-        if stmt is None:
-            continue
-        for slot in stmt.slots().values():
-            if slot is None or slot.binding is None:
-                continue
-            term = model.glossary.resolve(slot.text)
-            if term is not None and slot.binding not in term.allocations:
-                rows.append((term.term, slot.binding, "unallocated"))
-    return sorted(set(rows))

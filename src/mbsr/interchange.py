@@ -428,7 +428,8 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     Statement slots are re-derived by parsing Text; slot bindings are then
     restored from the SRn references. Requirement names are not carried by
     the profile layout, so the public id doubles as the name. Trace links
-    are not part of the XMI surface. An error names the requirement or set
+    are not part of the XMI surface. Every entry must be a profile entry
+    that export_xmi writes. An error names the requirement, set or unknown
     entry by its Id, or by its xmi:id when the Id is blank.
     """
     from xml.etree import ElementTree
@@ -448,19 +449,26 @@ def import_xmi(text: str, catalog: Catalog | None = None,
     reverse_slot = {name: key for key, name in XMI_SLOT_NAMES.items()}
     fixed_names = {xmi_id_key, "base_Class", "Id", "Text", "Name", "Members", *reverse_slot}
 
+    def _label(entry) -> str:
+        """The message prefix naming an entry: its Id, else its xmi:id."""
+        public = entry.get("Id")
+        return f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
+
     public_of: dict[str, str] = {}
     elements, requirements, sets = [], [], []  # sets and requirements as (entry, kind)
     for entry in root:
         iid, public = entry.get(xmi_id_key), entry.get("Id")
-        is_element = entry.tag == q + "Named_Element"
+        local = entry.tag[len(q):] if entry.tag.startswith(q) else None
         if iid and public:
             public_of[iid] = public
-            if not is_element:
+            if local != "Named_Element":
                 public_of[iid.rstrip("_")] = public
-        if is_element:
+        if local == "Named_Element":
             elements.append(entry)
-        elif (shape := _XMI_TAGS.get(entry.tag.removeprefix(q))) is not None:
+        elif (shape := _XMI_TAGS.get(local)) is not None:
             (sets if shape[0] else requirements).append((entry, shape[1]))
+        else:
+            raise CorpusValidationError(f"{_label(entry)} unknown entry {entry.tag!r}")
 
     for entry in elements:
         label = f"element {entry.get('Id')!r}:"
@@ -471,11 +479,6 @@ def import_xmi(text: str, catalog: Catalog | None = None,
                 f"{label} unknown element kind {entry.get('Kind')!r}") from None
         with _naming(label):
             model.add_element(ModelElement(entry.get("Id", ""), entry.get("Name", ""), kind))
-
-    def _label(entry) -> str:
-        """The message prefix naming an entry: its Id, else its xmi:id."""
-        public = entry.get("Id")
-        return f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
 
     def _resolve(ref: str, label: str, what: str) -> str:
         if ref not in public_of:
@@ -587,7 +590,10 @@ def export_reqif(model: Model, scope_id: str | None = None,
 
     def identify(kind: str, name: str, base: str) -> str:
         """Hand out the IDENTIFIER of (kind, name), in output order: base, or
-        the first free base-2, base-3, ... when an earlier one took base."""
+        the first free base-2, base-3, ... when an earlier one took base. An
+        xsd:ID may not start with a digit, so a base that does gets "id-"."""
+        if base[0].isdigit():
+            base = f"id-{base}"
         ident, n = base, 1
         while ident in taken:
             n += 1

@@ -236,13 +236,6 @@ class Model:
     def expressions(self) -> list[RequirementExpression]:
         return sorted(self._expressions.values(), key=_expr_id)
 
-    def display_name(self, any_id: str) -> str:
-        if any_id in self._expressions:
-            return self._expressions[any_id].name
-        if any_id in self._elements:
-            return self._elements[any_id].name
-        return ""
-
     def links(self) -> list[TraceLink]:
         return sorted(self._links.values(), key=lambda l: l.link_id)
 
@@ -394,11 +387,6 @@ class Model:
             if link.kind == LinkKind.COPY:
                 return link.target_id
         return None
-
-    def copied_id(self, expr_id: str) -> str:
-        """Display id: a copy mirrors its source's id, others show their own."""
-        source = self.copy_source_of(expr_id)
-        return source if source is not None else expr_id
 
     def sync_copies_of(self, source_id: str, touch: bool = True) -> None:
         """Push text to all transitive copies of source_id; touch=False skips

@@ -1,10 +1,15 @@
 """Automated writing-rule checkers and verdict rollup.
 
-Four rules run as code: R1 (the text decomposes into a pattern with one
-'shall'), R2 (a passive-voice heuristic), R10 (configured filler phrases),
-R16 ('shall not'). A fifth check, the TBX placeholder scan, is not a
-numbered rule; it reports under the reserved node id "TBX". Every other
-catalog rule is manual and produces no finding.
+The catalog decides which rules run: every enabled rule marked Automated,
+in rule-number order. Two of them need code: R1 (the text decomposes into
+a pattern with one 'shall') and R2 (a passive-voice heuristic). Every other
+automated rule is a phrase rule, violated by the first phrase of its
+`phrases` list that occurs in the text. The stock catalog has two, R10
+(filler phrases) and R16 ('shall not'), and a config override turns any
+manual rule into one by giving it `automation = Automated` and phrases. A
+fifth check, the TBX placeholder scan, is not a numbered rule; it reports
+under the reserved node id "TBX". Every other catalog rule is manual and
+produces no finding.
 
 `check_text` tokenizes a text once and hands the tokens to every checker. R1
 runs the parser's decomposition on them without building a statement, and
@@ -23,7 +28,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
-from .catalog import TBX_ID, Applicability, Automation, Catalog, RuleDef, ValueKind
+from .catalog import TBX_ID, Applicability, Catalog, RuleDef, ValueKind
 from .errors import MbsrError, NoShallKeywordError
 from .model import ExpressionKind, LinkKind, Model, RequirementExpression, TraceLink
 from .parser import _decompose, _word_set
@@ -31,7 +36,6 @@ from .textscan import Token, tokenize
 
 _BE_VERBS = frozenset({"be", "is", "are", "was", "were", "been"})
 TBX_RE = re.compile(r"\bTB[CDRN]\b")
-_SHALL_NOT_RE = re.compile(r"\bshall\s+not\b", re.IGNORECASE)
 _VERDICT_LINK_KINDS = (LinkKind.SATISFY, LinkKind.VIOLATE)
 _PARTICIPLE_WINDOW = 3
 _AGENT_WINDOW = 3
@@ -96,34 +100,30 @@ def _check_r2(text: str, tokens: list[Token], lower: list[str],
 
 @cache
 def _phrase_patterns(phrases: tuple[str, ...]) -> tuple[re.Pattern[str], ...]:
-    return tuple(re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE)
+    """One case-blind pattern per phrase: no word character may touch either
+    end, and each whitespace run in the phrase matches any whitespace run."""
+    return tuple(re.compile(r"(?<!\w)" + r"\s+".join(map(re.escape, phrase.split()))
+                            + r"(?!\w)", re.IGNORECASE)
                  for phrase in phrases)
 
 
-def _check_r10(text: str, tokens: list[Token], lower: list[str],
-               catalog: Catalog, rule: RuleDef) -> _Outcome:
-    for pattern in _phrase_patterns(rule.params.get("phrases", ())):
-        match = pattern.search(text)
-        if match:
-            return (Verdict.VIOLATE, f"superfluous phrase {match.group(0)!r}",
-                    match.span())
-    return Verdict.SATISFY, "no superfluous phrase found", None
+_PHRASE_MESSAGES = ("listed phrase {!r}", "no listed phrase found")
 
 
-def _check_r16(text: str, tokens: list[Token], lower: list[str],
-               catalog: Catalog, rule: RuleDef) -> _Outcome:
-    match = _SHALL_NOT_RE.search(text)
-    if match:
-        return (Verdict.VIOLATE, "'shall not' states what must not happen; "
-                "state the required behavior instead", match.span())
-    return Verdict.SATISFY, "no 'shall not' found", None
+def _check_phrases(text: str, tokens: list[Token], lower: list[str],
+                   catalog: Catalog, rule: RuleDef) -> _Outcome:
+    """A phrase rule: violated by the first listed phrase found in the text."""
+    violate, satisfy = rule.params.get("messages", _PHRASE_MESSAGES)
+    for pattern in _phrase_patterns(rule.params["phrases"]):
+        if match := pattern.search(text):
+            return Verdict.VIOLATE, violate.format(match.group(0)), match.span()
+    return Verdict.SATISFY, satisfy, None
 
 
+# the rules that need code; catalog._CODE_CHECKED_RULE_IDS names the same ones
 _CHECKERS = {
     "R1": _check_r1,
     "R2": _check_r2,
-    "R10": _check_r10,
-    "R16": _check_r16,
 }
 
 
@@ -132,12 +132,8 @@ _Checks = list[tuple[str, Callable[..., _Outcome], RuleDef]]
 
 def _enabled_checks(catalog: Catalog) -> _Checks:
     """(rule id, checker, rule) for each enabled automated rule, in run order."""
-    out: _Checks = []
-    for rule_id, checker in _CHECKERS.items():
-        rule = catalog.rules[rule_id]
-        if rule.automation == Automation.AUTOMATED and rule.enabled:
-            out.append((rule_id, checker, rule))
-    return out
+    return [(rule.rule_id, _CHECKERS.get(rule.rule_id, _check_phrases), rule)
+            for rule in catalog.automated_rules() if rule.enabled]
 
 
 def _check(text: str, catalog: Catalog, expression_id: str,

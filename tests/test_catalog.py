@@ -6,7 +6,6 @@ import string
 import pytest
 
 from mbsr import (
-    AUTOMATED_RULE_IDS,
     Applicability,
     Automation,
     Derivation,
@@ -32,18 +31,43 @@ def test_rule_registry_is_r1_to_r42(catalog):
 
 
 def test_automated_rules_have_checkers(catalog):
-    assert AUTOMATED_RULE_IDS == frozenset({"R1", "R2", "R10", "R16"})
+    from mbsr.rules import _CHECKERS
+
+    automated = [rule.rule_id for rule in catalog.automated_rules()]
+    assert automated == ["R1", "R2", "R10", "R16"]
     for rid, rule in catalog.rules.items():
-        expected = Automation.AUTOMATED if rid in AUTOMATED_RULE_IDS else Automation.MANUAL
+        expected = Automation.AUTOMATED if rid in automated else Automation.MANUAL
         assert rule.automation is expected, rid
+    # every automated rule without code is a phrase rule
+    assert [rid for rid in automated if rid not in _CHECKERS] == ["R10", "R16"]
+    assert catalog.rules["R16"].params["phrases"] == ("shall not",)
 
 
 def test_automated_rule_ids_are_the_checker_table():
-    # validate_catalog ties each automation flag to AUTOMATED_RULE_IDS, and
-    # the rule checker runs the rules in its own table
+    # validate_catalog lets a rule without phrases be automated only when
+    # the rule checker has code for it, in its own table
+    from mbsr.catalog import _CODE_CHECKED_RULE_IDS
     from mbsr.rules import _CHECKERS
 
-    assert set(_CHECKERS) == AUTOMATED_RULE_IDS
+    assert set(_CHECKERS) == _CODE_CHECKED_RULE_IDS
+
+
+def test_override_makes_a_manual_rule_a_phrase_rule(tmp_path):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[rule R7]\nautomation = Automated\nphrases = some, several\n",
+                   encoding="utf-8")
+    catalog = load_catalog(cfg)
+    assert [r.rule_id for r in catalog.automated_rules()] == ["R1", "R2", "R7", "R10", "R16"]
+    assert catalog.rules["R7"].params == {"phrases": ("some", "several")}
+
+
+@pytest.mark.parametrize("rid", ["R7", "R42"])
+def test_automated_rule_without_code_or_phrases_is_rejected(tmp_path, rid):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text(f"[rule {rid}]\nautomation = Automated\n", encoding="utf-8")
+    with pytest.raises(InvariantViolationError,
+                       match=f"^{rid}: an automated rule needs a code checker or phrases$"):
+        load_catalog(cfg)
 
 
 def test_every_rule_contributes_to_known_characteristics(catalog):
@@ -210,7 +234,7 @@ def test_is_graph_node(catalog):
 _FUZZ_SECTIONS = {
     "rule": (("R1", "R2", "R10", "R16", "R7"), {
         "enabled": ("true", "no", "maybe"), "automation": ("Manual", "Automated", "Sometimes"),
-        "contributes_to": ("C3, C4", "C99", ""), "phrases": ("be able to", ""),
+        "contributes_to": ("C3, C4", "C99", ""), "phrases": ("be able to", "etc., 100%", ""),
         "participles": (", ,",), "name": ("New name",), "description": ("Text", "<<<")}),
     "attribute": (("A34", "A14", "A01", "XRisk", "XCost"), {
         "name": ("Risk",), "group": ("G",), "minimum": ("yes", "perhaps"),
@@ -226,6 +250,13 @@ _FUZZ_BAD_HEADERS = ("[rule R99]", "[rule R43]", "[attribute A50]", "[characteri
                      "[pattern Iso9]", "[widget W1]", "[Rule R1]", "[rule]")
 _FUZZ_ANY_LINES = ("bogus = 1", "no equals sign", "= empty key", "# comment",
                    "fenced line", ">>>", "<<<")
+
+
+# configs the random draw seldom reaches: a manual rule made a phrase rule,
+# a rule made automated without phrases, and a code-checked rule made manual
+_FUZZ_SEEDS = ("[rule R7]\nautomation = Automated\nphrases = etc., 100%\n",
+               "[rule R26]\nautomation = Automated\n",
+               "[rule R1]\nautomation = Manual\n")
 
 
 def _fuzz_config(rng):
@@ -393,13 +424,20 @@ def test_load_catalog_fuzz_raises_only_mbsr_errors(tmp_path):
     rng = random.Random(20261018)
     cfg = tmp_path / "cat.cfg"
     outcomes = set()
-    for _ in range(800):
-        text = _fuzz_config(rng)
+    for text in [*_FUZZ_SEEDS, *(_fuzz_config(rng) for _ in range(800))]:
         cfg.write_text(text, encoding="utf-8")
         try:
             got = _outcome(load_catalog, cfg)
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped load_catalog for:\n{text}")
         assert got == _outcome(_reference_load_catalog, text), text
-        outcomes.add("loaded" if isinstance(got, Catalog) else got[0])
-    assert {"loaded", "CatalogParseError", "InvariantViolationError"} <= outcomes
+        if isinstance(got, Catalog):
+            outcomes.add("loaded")
+            if got.rules["R7"].automation is Automation.AUTOMATED:
+                outcomes.add("R7 is a phrase rule")
+        else:
+            outcomes.add(got[0])
+            if got[1].endswith("an automated rule needs a code checker or phrases"):
+                outcomes.add("automated without code or phrases")
+    assert {"loaded", "R7 is a phrase rule", "CatalogParseError", "InvariantViolationError",
+            "automated without code or phrases"} <= outcomes

@@ -371,6 +371,26 @@ def test_config_flag_beats_env(capsys, tmp_path, monkeypatch):
     assert "R16=V" in out and "R10" not in out
 
 
+def test_config_phrase_may_start_or_end_with_a_non_word_character(capsys, tmp_path):
+    corpus = tmp_path / "c.mbsr"
+    corpus.write_text("[requirement R-1]\n"
+                      "text = The System shall log A, B, etc. within 100% of cases.\n",
+                      encoding="utf-8")
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[rule R10]\nphrases = etc., 100%\n", encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", str(corpus), "--config", str(cfg), "lint")
+    assert code == 1
+    assert "R10=V" in out and "superfluous phrase 'etc.' [etc.]" in out
+
+
+def test_config_automated_rule_without_phrases_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[rule R7]\nautomation = Automated\n", encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", MIXED, "--config", str(cfg), "lint")
+    assert code == 2
+    assert err == "error: R7: an automated rule needs a code checker or phrases\n"
+
+
 def test_strict_upgrades_trace_warning(capsys, tmp_path):
     corpus = tmp_path / "t.mbsr"
     corpus.write_text(

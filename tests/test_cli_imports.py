@@ -17,6 +17,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 CORPUS = str(REPO / "fixtures" / "asteroid.mbsr")
+PHRASE_RULES = str(REPO / "tests" / "fixtures" / "phrase_rules.cfg")
 
 SCRIPT = (
     "import io, json, sys\n"
@@ -48,6 +49,7 @@ def loaded_by(*argv: str) -> tuple[int, list[str]]:
     ["export", "--format", "mbsr"],
     ["export", "--format", "xmi"],
     ["export", "--format", "csv"],
+    ["--config", PHRASE_RULES, "validate"],  # a catalog with phrase rules
 ])
 def test_plain_commands_skip_the_checkers_and_dataclasses(argv):
     code, modules = loaded_by(*argv)

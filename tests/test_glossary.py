@@ -1,4 +1,4 @@
-"""Glossary terms, annotation spans, undefined-token detection, allocations."""
+"""Glossary terms, annotation spans and undefined-token detection."""
 
 import json
 import random
@@ -7,14 +7,8 @@ import pytest
 
 from mbsr import (
     DuplicateIdError,
-    ElementKind,
     Glossary,
     GlossaryTerm,
-    Model,
-    ModelElement,
-    RequirementExpression,
-    SlotValue,
-    StructuredStatement,
     annotate,
     find_undefined,
 )
@@ -23,8 +17,6 @@ from mbsr.glossary import (
     _INTERCAP,
     _LEADING_PUNCT,
     _word_bounded,
-    reconcile_allocations,
-    usage_counts,
 )
 from mbsr.textscan import tokenize
 from tests.conftest import FIXTURES_DIR
@@ -239,39 +231,3 @@ def test_undefined_tokens_fixture(case):
     glossary = fixture_glossary()
     names = frozenset(UNDEFINED["known_element_names"])
     assert find_undefined(case["text"], glossary, names) == case["expected"]
-
-
-def test_usage_counts():
-    glossary = fixture_glossary()
-    texts = {
-        "R-1": "Sample_Collection uses Sample_Collection rules.",
-        "R-2": "Asteroid_A_Regolith, then SC_Mode.",
-    }
-    counts = usage_counts(texts, glossary)
-    assert counts["Sample_Collection"] == 3  # two plus one synonym hit
-    assert counts["Asteroid_A_Regolith"] == 1
-    assert counts["Regolith_Sample_Mass"] == 0
-
-
-def test_reconcile_allocations_reports_unallocated_bindings(catalog):
-    model = Model(catalog=catalog)
-    model.add_element(ModelElement("blk-a", "System", ElementKind.BLOCK))
-    model.add_element(ModelElement("blk-b", "Backup", ElementKind.BLOCK))
-    model.glossary.add_term(GlossaryTerm(
-        "System", definition="d", allocations=("blk-a",)))
-    model.add_expression(RequirementExpression(
-        "R-1", name="One", text="The System shall run within 1 s.",
-        statement=StructuredStatement(
-            "Iso1",
-            {"SR2": SlotValue("System", binding="blk-b"),
-             "SR3": SlotValue("run"),
-             "SR5": SlotValue("within 1 s")})))
-    assert reconcile_allocations(model) == [("System", "blk-b", "unallocated")]
-
-    # binding within the declared allocation set reports nothing
-    model.set_statement("R-1", StructuredStatement(
-        "Iso1",
-        {"SR2": SlotValue("System", binding="blk-a"),
-         "SR3": SlotValue("run"),
-         "SR5": SlotValue("within 1 s")}))
-    assert reconcile_allocations(model) == []

@@ -8,7 +8,10 @@ exit code and stderr. A refactor or speed-up must leave them unchanged.
 The `verdicts` fixture stores Satisfy/Violate links on a Need and on checked
 requirements; its extra cases disable R2 through a catalog override or
 narrow the scope, so the matrix and the SetReview report show which cells
-come from current findings and which from stored links.
+come from current findings and which from stored links. The `phrase_rules`
+fixture runs only its own cases: lint with the stock catalog, then lint and
+the matrix with a config that turns the Guide's R7, R8 and R9 on as phrase
+rules.
 
 After a deliberate output change, regenerate the files and review the diff:
 
@@ -34,6 +37,7 @@ CORPUS_DIR = REPO_DIR / "fixtures"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 R2_DISABLED = str(Path(__file__).resolve().parent / "fixtures" / "r2_disabled.cfg")
 REQIF_MAPPING = str(Path(__file__).resolve().parent / "fixtures" / "reqif_mapping.cfg")
+PHRASE_RULES = str(Path(__file__).resolve().parent / "fixtures" / "phrase_rules.cfg")
 EXPECTED = GOLDEN_DIR / "expected.json"
 
 _TABLE_COLUMNS = ("id,name,text,SR1,SR2,SR3,SR4,SR5,"
@@ -84,6 +88,11 @@ _EXTRA = {
         "export-md-setreview-scope": ["--scope", "V-SET", "export", "--format", "md",
                                       "--template", "SetReview"],
     },
+    "phrase_rules": {
+        "lint": ["lint"],
+        "lint-phrase-rules": ["--config", PHRASE_RULES, "lint"],
+        "matrix-csv-phrase-rules": ["--config", PHRASE_RULES, "matrix", "--format", "csv"],
+    },
 }
 
 # cases whose output is built from verdicts; none may store a verdict link
@@ -98,7 +107,8 @@ def _cases() -> dict[str, list[str]]:
             cases[f"{fixture}/{name}"] = argv
         for req_id in parse_ids:
             cases[f"{fixture}/parse-{req_id}"] = ["parse", req_id]
-        for name, argv in _EXTRA.get(fixture, {}).items():
+    for fixture, extra in _EXTRA.items():
+        for name, argv in extra.items():
             cases[f"{fixture}/{name}"] = argv
     return cases
 

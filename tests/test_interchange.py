@@ -37,6 +37,7 @@ from mbsr.errors import (
     UnknownColumnError,
 )
 from mbsr.interchange import (
+    PROFILE,
     PROFILE_NS,
     REQIF_NS,
     XMI_NS,
@@ -496,6 +497,24 @@ def test_reqif_identifiers_are_unique_when_hierarchy_ids_clash(catalog):
     assert len(leaves) == 3 and {tag.rsplit("}", 1)[1] for tag in leaves} == {"SPEC-OBJECT"}
 
 
+def test_reqif_identifiers_start_with_a_letter(catalog):
+    model = loads_corpus(
+        "[requirement 1.2]\nname = One\ntext = The System shall run within 1 s.\n\n"
+        "[requirement id-1.2]\nname = Two\ntext = The System shall stop within 2 s.\n\n"
+        "[set 2026]\nname = Set\nmembers = 1.2, id-1.2\n", catalog, clock=fixed_clock)
+    text = export_reqif(model)
+    idents, _, leaves = _reqif_identifiers(text)
+    assert len(idents) == len(set(idents))
+    assert all(ident[0].isalpha() for ident in idents)
+    assert "<SPEC-OBJECT IDENTIFIER='id-1.2' " in text
+    assert "<SPEC-OBJECT IDENTIFIER='id-1.2-2' " in text
+    assert "<SPECIFICATION IDENTIFIER='id-2026' " in text
+    assert ["<SPEC-OBJECT-REF>id-1.2</SPEC-OBJECT-REF>",
+            "<SPEC-OBJECT-REF>id-1.2-2</SPEC-OBJECT-REF>"] == re.findall(
+                r"<SPEC-OBJECT-REF>[^<]*</SPEC-OBJECT-REF>", text)
+    assert len(leaves) == 2
+
+
 def test_load_attribute_mapping():
     mapping = load_attribute_mapping("# comment\nA01 = Rationale\n\nA34=Prio\n")
     assert mapping == {"A01": "Rationale", "A34": "Prio"}
@@ -723,6 +742,7 @@ def _damage_xmi(rng, text):
 # import_xmi as first written: four passes over the entries, the profile
 # tags spelt out, two copies of the reference check. The model calls, the
 # attribute decoder and the error naming are the package's own, unchanged.
+# Since first written, an entry outside the profile tags is an error.
 def _reference_import_xmi(text, catalog, clock, model_uuid):
     model = Model(catalog=catalog, clock=clock, model_uuid=model_uuid)
     try:
@@ -740,6 +760,10 @@ def _reference_import_xmi(text, catalog, clock, model_uuid):
     for entry in root:
         iid = entry.get(xmi_id_key)
         public = entry.get("Id")
+        if entry.tag not in {q + tag for tag in ("Named_Element", "Requirement_Expression",
+                                                 "Need", "Requirement_Set", "Need_Set")}:
+            label = f"{public}:" if public else f"xmi:id {entry.get(xmi_id_key, '')!r}:"
+            raise CorpusValidationError(f"{label} unknown entry {entry.tag!r}")
         if iid and public:
             public_of[iid] = public
             if entry.tag != q + "Named_Element":
@@ -891,6 +915,23 @@ def test_import_xmi_names_an_entry_with_a_blank_id_by_its_xmi_id(public, tracech
         import_xmi(xmi.replace(f"Id='{public}'", "Id=''", 1), catalog, clock=fixed_clock)
     xmi_id = internal_id(tracechain_model, public) + "_"
     assert str(exc.value) == f"xmi:id '{xmi_id}': InvariantViolationError: bad id ''"
+
+
+@pytest.mark.parametrize("old, new, tag", [
+    (f"{PROFILE}:Requirement_Expression", f"{PROFILE}:Widget", f"{{{PROFILE_NS}}}Widget"),
+    (f"{PROFILE}:Requirement_Expression", "Requirement_Expression", "Requirement_Expression"),
+    (f"{PROFILE}:Requirement_Expression", "Need", "Need"),
+    (f"{PROFILE}:Named_Element", "Named_Element", "Named_Element"),
+], ids=["profile-widget", "bare-requirement", "bare-need", "bare-element"])
+def test_import_xmi_names_an_entry_outside_the_profile(old, new, tag, tracechain_model,
+                                                       catalog):
+    xmi = export_xmi(tracechain_model)
+    entry = re.search(rf"  <{old}\n[^>]*/>\n", xmi).group(0)
+    public = re.search(r"Id='([^']*)'", entry).group(1)
+    bad = xmi.replace(entry, entry.replace(old, new), 1)
+    with pytest.raises(CorpusValidationError) as exc:
+        import_xmi(bad, catalog, clock=fixed_clock)
+    assert str(exc.value) == f"{public}: unknown entry {tag!r}"
 
 
 def test_import_xmi_names_the_entry_with_an_unknown_attribute(tracechain_model, catalog):

@@ -53,11 +53,15 @@ def test_violation_spans_lie_inside_text(case, catalog):
 
 
 def test_r16_span_quotes_the_phrase(catalog):
-    text = "The System shall not overheat within 5 min."
-    finding = next(f for f in check_text(text, catalog) if f.rule_id == "R16")
-    assert finding.verdict is Verdict.VIOLATE
-    start, end = finding.span
-    assert text[start:end].lower() == "shall not"
+    for text in ("The System shall not overheat within 5 min.",
+                 "The System SHALL  NOT overheat within 5 min.",
+                 "The System shall\tnot overheat within 5 min."):
+        finding = next(f for f in check_text(text, catalog) if f.rule_id == "R16")
+        assert finding.verdict is Verdict.VIOLATE
+        assert finding.message == ("'shall not' states what must not happen; "
+                                   "state the required behavior instead")
+        start, end = finding.span
+        assert text[start:end].lower().split() == ["shall", "not"], text
 
 
 def test_r10_matches_word_bounded_only(catalog):
@@ -67,6 +71,84 @@ def test_r10_matches_word_bounded_only(catalog):
     dirty = "The System shall be able to route packets within 1 s."
     got = {f.rule_id: f.verdict for f in check_text(dirty, catalog)}
     assert got["R10"] is Verdict.VIOLATE
+
+
+def test_phrase_rule_matches_phrases_with_non_word_edges(tmp_path):
+    cfg = tmp_path / "cat.cfg"
+    cfg.write_text("[rule R10]\nphrases = etc., 100%\n", encoding="utf-8")
+    text = "The System shall log A, B, etc. within 100% of cases."
+    finding = next(f for f in check_text(text, load_catalog(cfg)) if f.rule_id == "R10")
+    assert finding.verdict is Verdict.VIOLATE
+    assert finding.message == "superfluous phrase 'etc.'"
+    assert text[slice(*finding.span)] == "etc."
+
+
+# pieces of generated phrases and texts; several start or end with a
+# non-word character, and the gaps give whitespace runs of every shape
+_PHRASE_PIECES = ("etc.", "100%", "and/or", "(s)", "be", "able", "to", "Shall", "not",
+                  "x_y", "-", "9", "a")
+_PHRASE_GAPS = (" ", "  ", "\t", "\n ", "", ",", "_", ".")
+
+
+def _phrase(rng):
+    words = [rng.choice(_PHRASE_PIECES) for _ in range(rng.randint(1, 3))]
+    return "".join(w + rng.choice((" ", "  ", "\t")) for w in words[:-1]) + words[-1]
+
+
+def _first_phrase(text, phrases):
+    """Brute force: the span of the first listed phrase found, at its first
+    place. Words compare case-blind, each whitespace run of the phrase takes
+    one or more whitespace characters, and no word character may touch
+    either end."""
+    def is_word(i):
+        return 0 <= i < len(text) and (text[i].isalnum() or text[i] == "_")
+
+    for phrase in phrases:
+        words = phrase.lower().split()
+        for start in range(len(text)):
+            if is_word(start - 1):
+                continue
+            end = start
+            for n, word in enumerate(words):
+                if n:
+                    gap = end
+                    while end < len(text) and text[end].isspace():
+                        end += 1
+                    if end == gap:
+                        break
+                if text[end:end + len(word)].lower() != word:
+                    break
+                end += len(word)
+            else:
+                if not is_word(end):
+                    return start, end
+    return None
+
+
+def test_phrase_checker_matches_a_brute_force_scan(catalog):
+    from mbsr.rules import _check_phrases
+
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(400):
+        phrases = tuple(_phrase(rng) for _ in range(rng.randint(1, 3)))
+        pieces = [rng.choice(_PHRASE_PIECES) + rng.choice(_PHRASE_GAPS)
+                  for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.5:  # plant a phrase, its case and whitespace changed
+            planted = " \t "[rng.randrange(3)].join(rng.choice(phrases).split())
+            pieces.insert(rng.randint(0, len(pieces)), planted.upper() + rng.choice(_PHRASE_GAPS))
+        text = "".join(pieces)
+        rule = catalog.rules["R7"]._replace(params={"phrases": phrases})
+        verdict, message, span = _check_phrases(text, [], [], catalog, rule)
+        expected = _first_phrase(text, phrases)
+        assert span == expected, (phrases, text)
+        if expected is None:
+            assert (verdict, message) == (Verdict.SATISFY, "no listed phrase found")
+        else:
+            assert verdict is Verdict.VIOLATE
+            assert message == f"listed phrase {text[slice(*span)]!r}"
+        verdicts.append(verdict)
+    assert 100 < verdicts.count(Verdict.VIOLATE) < 300
 
 
 def test_r2_passive_voice_detection(catalog):
@@ -146,10 +228,12 @@ def test_tbx_violates_exactly_when_set_review_lists_a_placeholder(catalog, seed)
 
 def test_disabled_rule_is_skipped(tmp_path):
     cfg = tmp_path / "cat.cfg"
-    cfg.write_text("[rule R16]\nenabled = false\n", encoding="utf-8")
-    catalog = load_catalog(cfg)
-    findings = check_text("The System shall not fail within 1 yr.", catalog)
-    assert all(f.rule_id != "R16" for f in findings)
+    # a manual rule does not run either, even one with a code checker
+    for rule_id, override in (("R16", "enabled = false"), ("R1", "automation = Manual")):
+        cfg.write_text(f"[rule {rule_id}]\n{override}\n", encoding="utf-8")
+        catalog = load_catalog(cfg)
+        findings = check_text("The System shall not fail within 1 yr.", catalog)
+        assert {f.rule_id for f in findings} == {"R1", "R2", "R10", "R16", TBX_ID} - {rule_id}
 
 
 def test_check_scope_skips_sets_and_needs(catalog):
