@@ -250,7 +250,7 @@ def validate_catalog(catalog: Catalog) -> None:
     if len(rules) != 42 or set(rules) != {f"R{n}" for n in range(1, 43)}:
         raise InvariantViolationError(f"rule registry must hold exactly R1..R42, got {len(rules)} entries")
     for rule in rules.values():
-        if (rule.automation == Automation.AUTOMATED and "phrases" not in rule.params
+        if (rule.automation == Automation.AUTOMATED and not rule.params.get("phrases")
                 and rule.rule_id not in _CODE_CHECKED_RULE_IDS):
             raise InvariantViolationError(
                 f"{rule.rule_id}: an automated rule needs a code checker or phrases")

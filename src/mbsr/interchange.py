@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .blockfile import Block, parse_blocks, render_blocks, split_list
-from .catalog import SLOT_KEYS, TBX_ID, AttributeDef, Catalog, ValueKind
+from .catalog import SLOT_KEYS, AttributeDef, Catalog, ValueKind
 from .errors import (
     CorpusValidationError,
     InvariantViolationError,
@@ -824,8 +824,8 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
     else:
         set_ids = [e.id for e in model.expressions() if e.is_set]
 
-    # only the rules that run get a column
-    node_ids = [rid for rid, _, _ in _enabled_checks(model.catalog)] + [TBX_ID]
+    # only the rules that run get a column, then TBX
+    node_ids = [node_id for node_id, _, _ in _enabled_checks(model.catalog)]
 
     lines = ["# Set Review", ""]
     if not set_ids:

@@ -209,6 +209,9 @@ class Model:
         self._parent: dict[str, str] = {}  # member id -> containing set id
         self.metric_history: list = []
         self._link_counter = 0
+        # rules' findings memo: (the catalog state it was filled under,
+        # expression id -> (*rule outcomes, text)); only rules reads or writes it
+        self._findings_memo: tuple = (None, {})
 
     # --- lookups ---
 

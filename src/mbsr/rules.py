@@ -15,6 +15,13 @@ produces no finding.
 runs the parser's decomposition on them without building a statement, and
 counts and locates 'shall' from the same tokens.
 
+A model remembers each requirement's outcomes with the text they came from,
+so a re-check costs in proportion to the texts changed since; the TBX scan
+of text attributes is not remembered and runs on every check. The memo is
+emptied when the enabled checks or the patterns stop comparing equal: once a
+model uses a catalog, change it by replacing a `RuleDef` or `PatternDef`,
+not by mutating their dicts in place.
+
 Verdicts persist as Satisfy/Violate links from the requirement to the rule
 node, plus one rolled-up link per individual characteristic that at least
 one automated rule contributes to. Re-applying identical verdicts keeps the
@@ -59,7 +66,15 @@ class RuleFinding(NamedTuple):
 
 
 _Outcome = tuple[Verdict, str, tuple[int, int] | None]
-_NO_PASSIVE: _Outcome = (Verdict.SATISFY, "no passive construction found", None)
+
+
+@cache
+def _satisfied(message: str) -> _Outcome:
+    """The one Satisfy outcome with this message, shared by every memo entry."""
+    return Verdict.SATISFY, message, None
+
+
+_NO_PASSIVE = _satisfied("no passive construction found")
 
 
 def _check_r1(text: str, tokens: list[Token], lower: list[str],
@@ -75,7 +90,7 @@ def _check_r1(text: str, tokens: list[Token], lower: list[str],
         return (Verdict.VIOLATE,
                 f"{len(shall_idxs)} 'shall' keywords, statement is not singular",
                 (extra.start, extra.end))
-    return Verdict.SATISFY, "decomposes into a pattern with a single 'shall'", None
+    return _satisfied("decomposes into a pattern with a single 'shall'")
 
 
 def _check_r2(text: str, tokens: list[Token], lower: list[str],
@@ -117,7 +132,15 @@ def _check_phrases(text: str, tokens: list[Token], lower: list[str],
     for pattern in _phrase_patterns(rule.params["phrases"]):
         if match := pattern.search(text):
             return Verdict.VIOLATE, violate.format(match.group(0)), match.span()
-    return Verdict.SATISFY, satisfy, None
+    return _satisfied(satisfy)
+
+
+def _check_tbx(text: str, tokens: list[Token], lower: list[str],
+               catalog: Catalog, rule: None) -> _Outcome:
+    match = TBX_RE.search(text) if "TB" in text else None
+    if match:
+        return Verdict.VIOLATE, f"unresolved placeholder {match.group(0)!r}", match.span()
+    return _satisfied("no TBC/TBD/TBR/TBN placeholder")
 
 
 # the rules that need code; catalog._CODE_CHECKED_RULE_IDS names the same ones
@@ -127,36 +150,36 @@ _CHECKERS = {
 }
 
 
-_Checks = list[tuple[str, Callable[..., _Outcome], RuleDef]]
+_Checks = list[tuple[str, Callable[..., _Outcome], RuleDef | None]]
+_Entry = tuple  # (*outcomes, text)
 
 
 def _enabled_checks(catalog: Catalog) -> _Checks:
-    """(rule id, checker, rule) for each enabled automated rule, in run order."""
-    return [(rule.rule_id, _CHECKERS.get(rule.rule_id, _check_phrases), rule)
-            for rule in catalog.automated_rules() if rule.enabled]
+    """(node id, checker, rule) for each enabled automated rule, in run
+    order, then for the TBX scan."""
+    return [*((rule.rule_id, _CHECKERS.get(rule.rule_id, _check_phrases), rule)
+              for rule in catalog.automated_rules() if rule.enabled),
+            (TBX_ID, _check_tbx, None)]
 
 
-def _check(text: str, catalog: Catalog, expression_id: str,
-           checks: _Checks) -> list[RuleFinding]:
+def _entry(text: str, catalog: Catalog, checks: _Checks) -> _Entry:
+    """A memo entry: each check's outcome in run order, then the text they
+    came from, in one tuple to keep the memo small."""
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
-    findings = [RuleFinding(rule_id, expression_id,
-                            *checker(text, tokens, lower, catalog, rule))
-                for rule_id, checker, rule in checks]
-    match = TBX_RE.search(text) if "TB" in text else None
-    if match:
-        findings.append(RuleFinding(TBX_ID, expression_id, Verdict.VIOLATE,
-                                    f"unresolved placeholder {match.group(0)!r}",
-                                    match.span()))
-    else:
-        findings.append(RuleFinding(TBX_ID, expression_id, Verdict.SATISFY,
-                                    "no TBC/TBD/TBR/TBN placeholder", None))
-    return findings
+    return (*[checker(text, tokens, lower, catalog, rule) for _, checker, rule in checks], text)
+
+
+def _findings(expression_id: str, checks: _Checks, entry: _Entry) -> list[RuleFinding]:
+    # zip stops at the last check, before the entry's text
+    return [RuleFinding(node_id, expression_id, *outcome)
+            for (node_id, _, _), outcome in zip(checks, entry)]
 
 
 def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[RuleFinding]:
     """Findings for one statement text: enabled automated rules, then TBX."""
-    return _check(text, catalog, expression_id, _enabled_checks(catalog))
+    checks = _enabled_checks(catalog)
+    return _findings(expression_id, checks, _entry(text, catalog, checks))
 
 
 def _attribute_placeholders(expr: RequirementExpression) -> Iterator[tuple[str, re.Match[str]]]:
@@ -169,9 +192,22 @@ def _attribute_placeholders(expr: RequirementExpression) -> Iterator[tuple[str, 
                 yield key, match
 
 
-def _check_expression(model: Model, expr: RequirementExpression,
-                      checks: _Checks) -> list[RuleFinding]:
-    findings = _check(expr.text, model.catalog, expr.id, checks)
+def _memo(model: Model, checks: _Checks) -> dict[str, _Entry]:
+    """The model's expression id -> entry memo, emptied first when the
+    enabled checks or the patterns changed since it was filled."""
+    state, memo = model._findings_memo
+    if state != (checks, model.catalog.patterns):
+        memo = {}
+        model._findings_memo = (checks, dict(model.catalog.patterns)), memo
+    return memo
+
+
+def _check_expression(model: Model, expr: RequirementExpression, checks: _Checks,
+                      memo: dict[str, _Entry]) -> list[RuleFinding]:
+    entry = memo.get(expr.id, (None,))
+    if entry[-1] != expr.text:
+        entry = memo[expr.id] = _entry(expr.text, model.catalog, checks)
+    findings = _findings(expr.id, checks, entry)
     if findings[-1].verdict is Verdict.SATISFY:  # TBX comes last
         for key, match in _attribute_placeholders(expr):
             findings[-1] = RuleFinding(
@@ -183,24 +219,26 @@ def _check_expression(model: Model, expr: RequirementExpression,
 
 def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFinding]:
     """Findings for a stored requirement; TBX also scans text attributes."""
-    return _check_expression(model, expr, _enabled_checks(model.catalog))
+    checks = _enabled_checks(model.catalog)
+    return _check_expression(model, expr, checks, _memo(model, checks))
 
 
 def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
     """Findings for every non-set requirement in scope, in id order; each
     requirement's findings come in rule-number order, then TBX."""
     checks = _enabled_checks(model.catalog)
+    memo = _memo(model, checks)
     findings: list[RuleFinding] = []
     for expr in model.scope_requirements(scope_id):
         if expr.kind == ExpressionKind.REQUIREMENT:
-            findings.extend(_check_expression(model, expr, checks))
+            findings.extend(_check_expression(model, expr, checks, memo))
     return findings
 
 
 def _contributors(catalog: Catalog) -> dict[str, list[str]]:
     """Individual characteristic id -> the enabled automated rules that
     contribute to it; characteristics with no such rule are absent."""
-    automated = [rule for _, _, rule in _enabled_checks(catalog)]
+    automated = [rule for rule in catalog.automated_rules() if rule.enabled]
     out: dict[str, list[str]] = {}
     for char in catalog.characteristics_for(Applicability.INDIVIDUAL):
         rule_ids = [r.rule_id for r in automated

@@ -61,10 +61,14 @@ def test_override_makes_a_manual_rule_a_phrase_rule(tmp_path):
     assert catalog.rules["R7"].params == {"phrases": ("some", "several")}
 
 
-@pytest.mark.parametrize("rid", ["R7", "R42"])
-def test_automated_rule_without_code_or_phrases_is_rejected(tmp_path, rid):
+@pytest.mark.parametrize("rid, phrases", [
+    pytest.param("R7", "", id="R7"), pytest.param("R42", "", id="R42"),
+    # an empty phrase list counts as none: the rule would satisfy on every text
+    pytest.param("R7", "phrases =\n", id="R7-empty"),
+    pytest.param("R10", "phrases =\n", id="R10-empty")])
+def test_automated_rule_without_code_or_phrases_is_rejected(tmp_path, rid, phrases):
     cfg = tmp_path / "cat.cfg"
-    cfg.write_text(f"[rule {rid}]\nautomation = Automated\n", encoding="utf-8")
+    cfg.write_text(f"[rule {rid}]\nautomation = Automated\n{phrases}", encoding="utf-8")
     with pytest.raises(InvariantViolationError,
                        match=f"^{rid}: an automated rule needs a code checker or phrases$"):
         load_catalog(cfg)

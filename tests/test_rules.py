@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import mbsr.rules
 from mbsr import (
     AttributeValue,
     ExpressionKind,
@@ -17,6 +18,7 @@ from mbsr import (
     TBX_ID,
     ValueKind,
     Verdict,
+    add_link,
     apply_verdicts,
     check_expression,
     check_scope,
@@ -24,8 +26,13 @@ from mbsr import (
     generate_report,
     load_catalog,
     load_corpus,
+    loads_corpus,
+    parse_statement,
+    remove_link,
     rollup,
+    serialize_corpus,
 )
+from mbsr.errors import MbsrError
 from mbsr.rules import verdict_map
 from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
@@ -432,6 +439,100 @@ def test_randomized_check_apply_cycles(catalog):
                       and l.target_id in rules}
             for rid, verdict in rules.items():
                 assert stored[rid] is verdict.link_kind
+
+
+# --- the findings memo: a re-check of one model against a fresh model ---
+
+_MEMO_TEXTS = (
+    "The System shall provide Capability_A within 1 s.",
+    "The Segment shall allocate Capability_A as appropriate within 800 ms.",
+    "The Report shall be produced by the Processor within 1 day.",
+    "The Subsystem shall not execute Capability_A within TBD ms.",
+    "The System must hum.",
+)
+
+
+def _reloaded(model):
+    return loads_corpus(serialize_corpus(model), model.catalog, clock=fixed_clock)
+
+
+def _toggle_link(model, kind, source_id, target_id):
+    for link in model.links_from(source_id):
+        if link.kind is kind and link.target_id == target_id:
+            remove_link(model, link.link_id)
+            return
+    add_link(model, kind, source_id, target_id)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2026])
+def test_memoized_findings_equal_a_fresh_models(seed, monkeypatch):
+    """After every kind of edit, a re-check of the edited model gives what a
+    model loaded from its serialized text gives, and it tokenizes only the
+    texts that changed."""
+    model = load_corpus(CORPUS_DIR / "tracechain.mbsr", load_catalog(), clock=fixed_clock)
+    # L6-A copies L4-A while the Copy link is there; L5-A is never a copy or a source
+    model.add_expression(RequirementExpression("L6-A", name="Spare", text=_MEMO_TEXTS[0]))
+    a01 = model.get_attribute("L3-A", "A01")
+    rng = random.Random(seed)
+
+    def set_statement(_text):
+        statement = None
+        if model.expression("L4-A").statement is None:
+            try:
+                statement, _ = parse_statement(model.expression("L4-A").text, model.glossary)
+            except MbsrError:
+                pass
+        model.set_statement("L4-A", statement)
+
+    edits = {
+        "set_text": lambda text: model.set_text(rng.choice(["L3-A", "L4-A"]), text),
+        "tbd": lambda _: model.set_attribute(
+            "L3-A", "A01", a01 if model.get_attribute("L3-A", "A01") != a01
+            else AttributeValue.text(f"{a01.value} TBD")),
+        "statement": set_statement,
+        "assign": lambda text: setattr(model.expression("L5-A"), "text", text),
+        "copy_link": lambda _: _toggle_link(model, LinkKind.COPY, "L6-A", "L4-A"),
+        "derive_link": lambda _: _toggle_link(model, LinkKind.DERIVE, "L5-A", "L3-A"),
+    }
+    kinds = sorted(edits) * 2
+    rng.shuffle(kinds)
+    for kind in kinds:
+        edits[kind](rng.choice(_MEMO_TEXTS))
+        fresh = _reloaded(model)
+        for scope in (None, "SET-ALL"):
+            assert check_scope(model, scope) == check_scope(fresh, scope), kind
+
+    tokenized = []
+    tokenize = mbsr.rules.tokenize
+    monkeypatch.setattr(mbsr.rules, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    check_scope(model)
+    assert tokenized == []
+    text = next(t for t in _MEMO_TEXTS if t != model.expression("L3-A").text)
+    model.set_text("L3-A", text)
+    check_scope(model)
+    assert tokenized == [text, text]  # L3-A and its copy
+
+
+def test_a_catalog_change_between_checks_is_seen():
+    """Replacing a rule or a pattern between two checks of one model gives
+    a fresh model's findings, from check_scope and check_expression alike."""
+    catalog = load_catalog()
+    scoped, single = (load_corpus(CORPUS_DIR / "verdicts.mbsr", catalog, clock=fixed_clock)
+                      for _ in range(2))
+    r10, iso1 = catalog.rules["R10"], catalog.patterns["Iso1"]
+    ids = ["V-01", "V-02", "V-03"]
+    for table, key, value in (
+            (catalog.rules, "R10", r10._replace(params={**r10.params, "phrases": ("shall",)})),
+            (catalog.rules, "R10", r10._replace(enabled=False)),
+            (catalog.patterns, "Iso1", iso1._replace(connective_words={"SR5": ("per",)}))):
+        before = check_scope(scoped)
+        for expr_id in ids:
+            check_expression(single, single.expression(expr_id))
+        table[key] = value
+        fresh = _reloaded(scoped)
+        assert check_scope(scoped) == check_scope(fresh) != before, key
+        assert ([check_expression(single, single.expression(i)) for i in ids]
+                == [check_expression(fresh, fresh.expression(i)) for i in ids]), key
 
 
 # --- R1 against the parser, and one tokenization per text ---
