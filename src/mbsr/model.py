@@ -209,9 +209,15 @@ class Model:
         self._parent: dict[str, str] = {}  # member id -> containing set id
         self.metric_history: list = []
         self._link_counter = 0
-        # rules' findings memo: (the catalog state it was filled under,
-        # expression id -> (*rule outcomes, text)); only rules reads or writes it
-        self._findings_memo: tuple = (None, {})
+        # rules' check plan: (copies of the catalog's rules, characteristics
+        # and patterns it was built from, (enabled checks, characteristic
+        # contributors, expression id -> (*findings, text, attributes copy))).
+        # An entry is reused while its text and attributes compare equal to the
+        # expression's; the whole plan is rebuilt when one of the three catalog
+        # dicts stops comparing equal to its copy, so replace a RuleDef,
+        # CharacteristicDef or PatternDef, never mutate one. Only rules reads
+        # or writes it.
+        self._check_plan: tuple = (None, None)
 
     # --- lookups ---
 

@@ -15,12 +15,16 @@ produces no finding.
 runs the parser's decomposition on them without building a statement, and
 counts and locates 'shall' from the same tokens.
 
-A model remembers each requirement's outcomes with the text they came from,
-so a re-check costs in proportion to the texts changed since; the TBX scan
-of text attributes is not remembered and runs on every check. The memo is
-emptied when the enabled checks or the patterns stop comparing equal: once a
-model uses a catalog, change it by replacing a `RuleDef` or `PatternDef`,
-not by mutating their dicts in place.
+A model remembers each requirement's finished findings, the TBX scan of its
+text attributes included, with the text and a copy of the attributes they
+came from; a re-check reuses them while both still compare equal, so it
+costs in proportion to the requirements changed since. The model also keeps
+its check plan: the enabled checks, the characteristic contributors and that
+memo, rebuilt with the memo emptied when the catalog's rules,
+characteristics or patterns stop comparing equal to the copies the plan was
+built from. So once a model uses a catalog, change it by replacing a
+`RuleDef`, `CharacteristicDef` or `PatternDef`, not by mutating their dicts
+in place.
 
 Verdicts persist as Satisfy/Violate links from the requirement to the rule
 node, plus one rolled-up link per individual characteristic that at least
@@ -70,7 +74,7 @@ _Outcome = tuple[Verdict, str, tuple[int, int] | None]
 
 @cache
 def _satisfied(message: str) -> _Outcome:
-    """The one Satisfy outcome with this message, shared by every memo entry."""
+    """The one Satisfy outcome with this message, built once."""
     return Verdict.SATISFY, message, None
 
 
@@ -151,7 +155,8 @@ _CHECKERS = {
 
 
 _Checks = list[tuple[str, Callable[..., _Outcome], RuleDef | None]]
-_Entry = tuple  # (*outcomes, text)
+_Entry = tuple  # (*findings, text, attributes copy)
+_Plan = tuple  # (checks, contributors, expression id -> entry)
 
 
 def _enabled_checks(catalog: Catalog) -> _Checks:
@@ -162,24 +167,17 @@ def _enabled_checks(catalog: Catalog) -> _Checks:
             (TBX_ID, _check_tbx, None)]
 
 
-def _entry(text: str, catalog: Catalog, checks: _Checks) -> _Entry:
-    """A memo entry: each check's outcome in run order, then the text they
-    came from, in one tuple to keep the memo small."""
+def _findings(text: str, catalog: Catalog, checks: _Checks,
+              expression_id: str) -> list[RuleFinding]:
     tokens = tokenize(text)
     lower = [t.text.lower() for t in tokens]
-    return (*[checker(text, tokens, lower, catalog, rule) for _, checker, rule in checks], text)
-
-
-def _findings(expression_id: str, checks: _Checks, entry: _Entry) -> list[RuleFinding]:
-    # zip stops at the last check, before the entry's text
-    return [RuleFinding(node_id, expression_id, *outcome)
-            for (node_id, _, _), outcome in zip(checks, entry)]
+    return [RuleFinding(node_id, expression_id, *checker(text, tokens, lower, catalog, rule))
+            for node_id, checker, rule in checks]
 
 
 def check_text(text: str, catalog: Catalog, expression_id: str = "") -> list[RuleFinding]:
     """Findings for one statement text: enabled automated rules, then TBX."""
-    checks = _enabled_checks(catalog)
-    return _findings(expression_id, checks, _entry(text, catalog, checks))
+    return _findings(text, catalog, _enabled_checks(catalog), expression_id)
 
 
 def _attribute_placeholders(expr: RequirementExpression) -> Iterator[tuple[str, re.Match[str]]]:
@@ -192,42 +190,45 @@ def _attribute_placeholders(expr: RequirementExpression) -> Iterator[tuple[str, 
                 yield key, match
 
 
-def _memo(model: Model, checks: _Checks) -> dict[str, _Entry]:
-    """The model's expression id -> entry memo, emptied first when the
-    enabled checks or the patterns changed since it was filled."""
-    state, memo = model._findings_memo
-    if state != (checks, model.catalog.patterns):
-        memo = {}
-        model._findings_memo = (checks, dict(model.catalog.patterns)), memo
-    return memo
+def _plan(model: Model) -> _Plan:
+    """The model's check plan, rebuilt with an empty memo when the catalog's
+    rules, characteristics or patterns changed since it was built."""
+    catalog = model.catalog
+    state, plan = model._check_plan
+    if state != (catalog.rules, catalog.characteristics, catalog.patterns):
+        plan = _enabled_checks(catalog), _contributors(catalog), {}
+        model._check_plan = (dict(catalog.rules), dict(catalog.characteristics),
+                             dict(catalog.patterns)), plan
+    return plan
 
 
 def _check_expression(model: Model, expr: RequirementExpression, checks: _Checks,
-                      memo: dict[str, _Entry]) -> list[RuleFinding]:
-    entry = memo.get(expr.id, (None,))
-    if entry[-1] != expr.text:
-        entry = memo[expr.id] = _entry(expr.text, model.catalog, checks)
-    findings = _findings(expr.id, checks, entry)
-    if findings[-1].verdict is Verdict.SATISFY:  # TBX comes last
-        for key, match in _attribute_placeholders(expr):
-            findings[-1] = RuleFinding(
-                TBX_ID, expr.id, Verdict.VIOLATE,
-                f"unresolved placeholder {match.group(0)!r} in attribute {key}", None)
-            break
-    return findings
+                      memo: dict[str, _Entry]) -> tuple[RuleFinding, ...]:
+    """The expression's findings, from its memo entry while the entry's text
+    and attributes still equal the expression's, else from a fresh check."""
+    entry = memo.get(expr.id)
+    if entry is None or entry[-2] != expr.text or entry[-1] != expr.attributes:
+        findings = _findings(expr.text, model.catalog, checks, expr.id)
+        if findings[-1].verdict is Verdict.SATISFY:  # TBX comes last
+            for key, match in _attribute_placeholders(expr):
+                findings[-1] = RuleFinding(
+                    TBX_ID, expr.id, Verdict.VIOLATE,
+                    f"unresolved placeholder {match.group(0)!r} in attribute {key}", None)
+                break
+        entry = memo[expr.id] = (*findings, expr.text, dict(expr.attributes))
+    return entry[:-2]
 
 
 def check_expression(model: Model, expr: RequirementExpression) -> list[RuleFinding]:
     """Findings for a stored requirement; TBX also scans text attributes."""
-    checks = _enabled_checks(model.catalog)
-    return _check_expression(model, expr, checks, _memo(model, checks))
+    checks, _, memo = _plan(model)
+    return list(_check_expression(model, expr, checks, memo))
 
 
 def check_scope(model: Model, scope_id: str | None = None) -> list[RuleFinding]:
     """Findings for every non-set requirement in scope, in id order; each
     requirement's findings come in rule-number order, then TBX."""
-    checks = _enabled_checks(model.catalog)
-    memo = _memo(model, checks)
+    checks, _, memo = _plan(model)
     findings: list[RuleFinding] = []
     for expr in model.scope_requirements(scope_id):
         if expr.kind == ExpressionKind.REQUIREMENT:
@@ -271,14 +272,16 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
 
     For each checked expression the desired link set is computed, existing
     identical links are kept, stale ones removed, missing ones added.
-    Returns the number of links added or removed.
+    Returns the number of links added or removed. Raises UnknownIdError,
+    before any change, when a finding names an expression the model lacks.
     """
     by_expr = verdict_map(findings)
     by_expr.pop("", None)  # check_text findings name no expression
+    for expr_id in by_expr:
+        model.expression(expr_id)
 
     catalog = model.catalog
-    contributors = _contributors(catalog)
-    graph_nodes = {TBX_ID, *catalog.rules, *catalog.characteristics}
+    _, contributors, _ = _plan(model)
     # node id -> wanted link kind, per distinct verdict set; few distinct sets occur
     wanted: dict[tuple, dict[str, LinkKind]] = {}
     changed = 0
@@ -292,7 +295,7 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
         desired = dict(wanted[key])
 
         for link in model.links_from(expr_id):
-            if link.kind not in _VERDICT_LINK_KINDS or link.target_id not in graph_nodes:
+            if link.kind not in _VERDICT_LINK_KINDS or not catalog.is_graph_node(link.target_id):
                 continue
             if desired.get(link.target_id) is link.kind:
                 del desired[link.target_id]

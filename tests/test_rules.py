@@ -9,6 +9,7 @@ import pytest
 
 import mbsr.rules
 from mbsr import (
+    Applicability,
     AttributeValue,
     ExpressionKind,
     LinkKind,
@@ -32,7 +33,7 @@ from mbsr import (
     rollup,
     serialize_corpus,
 )
-from mbsr.errors import MbsrError
+from mbsr.errors import MbsrError, UnknownIdError
 from mbsr.rules import verdict_map
 from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
@@ -312,6 +313,17 @@ def test_apply_verdicts_replaces_flipped_verdicts(catalog):
     assert len(tbx_links) == 1 and tbx_links[0].kind is LinkKind.SATISFY
 
 
+def test_apply_verdicts_refuses_an_unknown_expression_id_and_changes_nothing(catalog):
+    model = load_corpus(CORPUS_DIR / "asteroid.mbsr", catalog, clock=fixed_clock)
+    known = model.expressions()[0]
+    before = model.links()
+    findings = [*check_expression(model, known),
+                *check_text("The System shall run within TBD s.", catalog, "NOPE")]
+    with pytest.raises(UnknownIdError, match="NOPE"):
+        apply_verdicts(model, findings)
+    assert model.links() == before
+
+
 def test_verdict_links_are_exclusive_per_node(catalog):
     model = Model(catalog=catalog, clock=fixed_clock)
     model.add_expression(RequirementExpression(
@@ -456,6 +468,11 @@ def _reloaded(model):
     return loads_corpus(serialize_corpus(model), model.catalog, clock=fixed_clock)
 
 
+def _link_ends(model):
+    """The model's links without their ids, which a reload numbers afresh."""
+    return sorted((link.kind.value, link.source_id, link.target_id) for link in model.links())
+
+
 def _toggle_link(model, kind, source_id, target_id):
     for link in model.links_from(source_id):
         if link.kind is kind and link.target_id == target_id:
@@ -491,6 +508,11 @@ def test_memoized_findings_equal_a_fresh_models(seed, monkeypatch):
             else AttributeValue.text(f"{a01.value} TBD")),
         "statement": set_statement,
         "assign": lambda text: setattr(model.expression("L5-A"), "text", text),
+        # L5-A has no A01: the first assignment adds one, the second deletes it
+        "assign_attribute": lambda _: (
+            model.expression("L5-A").attributes.pop("A01", None)
+            or model.expression("L5-A").attributes.update(
+                A01=AttributeValue.text("Margin TBD pending analysis"))),
         "copy_link": lambda _: _toggle_link(model, LinkKind.COPY, "L6-A", "L4-A"),
         "derive_link": lambda _: _toggle_link(model, LinkKind.DERIVE, "L5-A", "L3-A"),
     }
@@ -501,6 +523,12 @@ def test_memoized_findings_equal_a_fresh_models(seed, monkeypatch):
         fresh = _reloaded(model)
         for scope in (None, "SET-ALL"):
             assert check_scope(model, scope) == check_scope(fresh, scope), kind
+        # what a caller does to a returned list does not reach the next check
+        check_scope(model).clear()
+        check_expression(model, model.expression("L5-A"))[-1] = None
+        assert check_scope(model) == check_scope(fresh), kind
+        assert check_expression(model, model.expression("L5-A")) == \
+            check_expression(fresh, fresh.expression("L5-A")), kind
 
     tokenized = []
     tokenize = mbsr.rules.tokenize
@@ -514,25 +542,59 @@ def test_memoized_findings_equal_a_fresh_models(seed, monkeypatch):
 
 
 def test_a_catalog_change_between_checks_is_seen():
-    """Replacing a rule or a pattern between two checks of one model gives
-    a fresh model's findings, from check_scope and check_expression alike."""
+    """Replacing a rule, a characteristic or a pattern between two checks of
+    one model gives a fresh model's findings, from check_scope and
+    check_expression alike, and a fresh model's verdict links."""
     catalog = load_catalog()
     scoped, single = (load_corpus(CORPUS_DIR / "verdicts.mbsr", catalog, clock=fixed_clock)
                       for _ in range(2))
-    r10, iso1 = catalog.rules["R10"], catalog.patterns["Iso1"]
+    r2, r10, iso1 = catalog.rules["R2"], catalog.rules["R10"], catalog.patterns["Iso1"]
     ids = ["V-01", "V-02", "V-03"]
-    for table, key, value in (
-            (catalog.rules, "R10", r10._replace(params={**r10.params, "phrases": ("shall",)})),
-            (catalog.rules, "R10", r10._replace(enabled=False)),
-            (catalog.patterns, "Iso1", iso1._replace(connective_words={"SR5": ("per",)}))):
+    # the last two change no finding, only the characteristic links
+    for table, key, value, findings_change in (
+            (catalog.rules, "R10", r10._replace(params={**r10.params, "phrases": ("shall",)}),
+             True),
+            (catalog.rules, "R10", r10._replace(enabled=False), True),
+            (catalog.patterns, "Iso1", iso1._replace(connective_words={"SR5": ("per",)}), True),
+            (catalog.characteristics, "C3",
+             catalog.characteristics["C3"]._replace(applicability=Applicability.SET), False),
+            (catalog.rules, "R2", r2._replace(contributes_to=r2.contributes_to | {"C1"}), False)):
         before = check_scope(scoped)
+        apply_verdicts(scoped, before)
+        links_before = _link_ends(scoped)
         for expr_id in ids:
             check_expression(single, single.expression(expr_id))
         table[key] = value
         fresh = _reloaded(scoped)
-        assert check_scope(scoped) == check_scope(fresh) != before, key
+        after = check_scope(scoped)
+        assert after == check_scope(fresh), key
         assert ([check_expression(single, single.expression(i)) for i in ids]
                 == [check_expression(fresh, fresh.expression(i)) for i in ids]), key
+        apply_verdicts(scoped, after)
+        apply_verdicts(fresh, check_scope(fresh))
+        assert _link_ends(scoped) == _link_ends(fresh) != links_before, key
+        assert (after != before) is findings_change, key
+
+
+def test_a_warm_recheck_reuses_the_stored_findings(catalog, monkeypatch):
+    """With no edit in between, a re-check tokenizes nothing, scans no
+    attribute and returns the very findings the first check built; two
+    verdict applies under one catalog derive the contributors once."""
+    model = load_corpus(CORPUS_DIR / "tracechain.mbsr", catalog, clock=fixed_clock)
+    calls = []
+    for name in ("tokenize", "_attribute_placeholders", "_contributors"):
+        original = getattr(mbsr.rules, name)
+        monkeypatch.setattr(mbsr.rules, name, lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    first = check_scope(model)
+    assert calls.count("_contributors") == 1
+    calls.clear()
+    second = check_scope(model)
+    assert calls == []
+    assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+    assert apply_verdicts(model, second) > 0
+    assert apply_verdicts(model, check_scope(model)) == 0
+    assert calls == []
 
 
 # --- R1 against the parser, and one tokenization per text ---
@@ -583,7 +645,7 @@ def _r1_text(rng):
 @pytest.mark.parametrize("seed", [4, 17, 2026])
 def test_r1_satisfies_exactly_when_parse_succeeds_with_one_shall(catalog, seed):
     from mbsr import count_shall, parse_statement
-    from mbsr.errors import MbsrError
+    from mbsr.errors import MbsrError, UnknownIdError
 
     rng = random.Random(seed)
     for _ in range(400):
