@@ -241,26 +241,39 @@ _PATTERN_MARKERS: dict[str, dict[str, tuple[str, ...]]] = {
 }
 
 
+# The default registries, built once. Their records are immutable and every
+# catalog starts from them; load_catalog gives each catalog its own dicts,
+# the params dicts of the named rules included.
+_DEFAULT_RULES = _default_rules()
+_DEFAULT_CHARACTERISTICS = {row[0]: CharacteristicDef(*row) for row in _CHARACTERISTIC_ROWS}
+_DEFAULT_ATTRIBUTES = _default_attributes()
+
+_RULE_IDS = frozenset(_DEFAULT_RULES)
+_CHARACTERISTIC_IDS = frozenset(_DEFAULT_CHARACTERISTICS)
+_ATTRIBUTE_KEYS = frozenset(_DEFAULT_ATTRIBUTES)
+
+
 def default_catalog() -> Catalog:
     return load_catalog()
 
 
 def validate_catalog(catalog: Catalog) -> None:
     rules = catalog.rules
-    if len(rules) != 42 or set(rules) != {f"R{n}" for n in range(1, 43)}:
+    if len(rules) != 42 or rules.keys() != _RULE_IDS:
         raise InvariantViolationError(f"rule registry must hold exactly R1..R42, got {len(rules)} entries")
+    known = catalog.characteristics.keys()
     for rule in rules.values():
         if (rule.automation == Automation.AUTOMATED and not rule.params.get("phrases")
                 and rule.rule_id not in _CODE_CHECKED_RULE_IDS):
             raise InvariantViolationError(
                 f"{rule.rule_id}: an automated rule needs a code checker or phrases")
-        missing = rule.contributes_to - set(catalog.characteristics)
+        missing = rule.contributes_to - known
         if missing:
             raise InvariantViolationError(
                 f"{rule.rule_id}: contributes_to references unknown characteristics {sorted(missing)}")
 
     chars = catalog.characteristics
-    if len(chars) != 15 or set(chars) != {f"C{n}" for n in range(1, 16)}:
+    if len(chars) != 15 or chars.keys() != _CHARACTERISTIC_IDS:
         raise InvariantViolationError(f"characteristic registry must hold exactly C1..C15, got {len(chars)}")
     for cid, char in chars.items():
         n = int(cid[1:])
@@ -273,11 +286,10 @@ def validate_catalog(catalog: Catalog) -> None:
             raise InvariantViolationError(f"{cid}: ISO mapping wrong")
 
     attrs = catalog.attributes
-    required = {f"A{n:02d}" for n in range(1, 50)}
-    if not required <= set(attrs):
-        raise InvariantViolationError(f"attribute registry missing {sorted(required - set(attrs))}")
+    if not _ATTRIBUTE_KEYS <= attrs.keys():
+        raise InvariantViolationError(f"attribute registry missing {sorted(_ATTRIBUTE_KEYS - attrs.keys())}")
     for key, attr in attrs.items():
-        if key not in required and not _X_KEY_RE.match(key):
+        if key not in _ATTRIBUTE_KEYS and not _X_KEY_RE.match(key):
             raise InvariantViolationError(f"attribute key {key!r} is neither A01..A49 nor an X extension")
         has_values = bool(attr.value_set)
         if has_values != (attr.value_kind == ValueKind.ENUM):
@@ -406,9 +418,10 @@ def _override_flags(catalog: Catalog, block: Block) -> None:
 def load_catalog(config_path: str | Path | None = None) -> Catalog:
     """Build the default catalog, apply overrides from config_path, validate."""
     catalog = Catalog(
-        rules=_default_rules(),
-        characteristics={row[0]: CharacteristicDef(*row) for row in _CHARACTERISTIC_ROWS},
-        attributes=_default_attributes(),
+        rules={rid: rule._replace(params=dict(rule.params)) if rid in _NAMED_RULES else rule
+               for rid, rule in _DEFAULT_RULES.items()},
+        characteristics=dict(_DEFAULT_CHARACTERISTICS),
+        attributes=dict(_DEFAULT_ATTRIBUTES),
         patterns={pid: PatternDef(pid, dict(_PATTERN_MARKERS[pid])) for pid in PATTERNS},
     )
     if config_path is not None:

@@ -13,6 +13,7 @@ import os
 import sys
 import warnings
 from datetime import datetime
+from functools import cache
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -48,6 +49,9 @@ def non_negative_int(value: str) -> int:
     return depth
 
 
+# built once per process: parsing leaves the parser unchanged, and building
+# it costs more than most commands over a small corpus
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbsr",

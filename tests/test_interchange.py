@@ -698,7 +698,9 @@ _XMI_BAD_TAGS = ("Need", "Need_Set", "Requirement_Set", "Requirement_Expression"
                  "Named_Element", "Widget", "")
 _XMI_BAD_ATTRS = ("Kind", "Id", "Members", "Text", "SR2", "A38_Key___Driving",
                   "A14_Date_Last_Modified_", "A15_Unique_Identifier_", "Bogus_Name")
-_XMI_ATTR_RE = re.compile(r"(\w+(?::\w+)?)='([^']*)'")
+# a match starts at a word's first character: without the lookbehind each
+# shorter suffix of a long name that is not an attribute is retried
+_XMI_ATTR_RE = re.compile(r"(?<!\w)(\w+(?::\w+)?)='([^']*)'")
 
 
 def _damage_xmi(rng, text):

@@ -47,10 +47,15 @@ def all_node_ids(model):
 
 
 def assert_indexes_match_scan(model):
-    links = model.links()
+    """links_from and links_to of each node equal one scan of every link,
+    grouped by endpoint in link order."""
+    by_source, by_target = {}, {}
+    for link in model.links():
+        by_source.setdefault(link.source_id, []).append(link)
+        by_target.setdefault(link.target_id, []).append(link)
     for node_id in all_node_ids(model):
-        assert model.links_from(node_id) == [l for l in links if l.source_id == node_id]
-        assert model.links_to(node_id) == [l for l in links if l.target_id == node_id]
+        assert model.links_from(node_id) == by_source.get(node_id, [])
+        assert model.links_to(node_id) == by_target.get(node_id, [])
 
 
 def is_copy(model, expr_id):

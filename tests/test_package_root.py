@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the public names of each submodule that the package root exports
@@ -47,57 +49,83 @@ SUBMODULES = ("blockfile", "catalog", "errors", "glossary", "interchange", "metr
               "model", "parser", "rules", "textscan", "trace")
 
 
-def run_fresh(script: str):
-    """Run script in a new interpreter that imports mbsr from src/; return
-    the JSON it prints."""
+ALL = "import json, mbsr; print(json.dumps(mbsr.__all__))"
+
+STAR_IMPORT = (
+    "import importlib, json, sys\n"
+    "ns = {}\n"
+    "exec('from mbsr import *', ns)\n"
+    "owner = json.loads(sys.argv[1])\n"
+    "bound = sorted(k for k in ns if k != '__builtins__')\n"
+    "bad = [n for n, m in owner.items()\n"
+    "       if ns.get(n) is not getattr(importlib.import_module('mbsr.' + m), n)]\n"
+    "print(json.dumps([bound, bad]))\n")
+
+BARE_IMPORT = (
+    "import json, types, mbsr\n"
+    f"names = {SUBMODULES!r}\n"
+    "print(json.dumps([n for n in names\n"
+    "                  if isinstance(getattr(mbsr, n, None), types.ModuleType)]))\n")
+
+SUBMODULE_IMPORT = (
+    "import json, sys, mbsr.errors\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'mbsr')))\n")
+
+UNKNOWN_NAME = (
+    "import json, mbsr\n"
+    "try:\n"
+    "    mbsr.no_such_name\n"
+    "except AttributeError as exc:\n"
+    "    print(json.dumps(str(exc)))\n")
+
+
+def start(script: str) -> subprocess.Popen:
+    """A new interpreter that imports mbsr from src/ and runs script."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(OWNER)],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return subprocess.Popen([sys.executable, "-c", script, json.dumps(OWNER)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
 
 
-def test_all_lists_the_public_names_in_order():
+@pytest.fixture(scope="module")
+def run_fresh():
+    """Run a script of this module in its own interpreter and return the JSON
+    it prints. The interpreters all start at once, so that they run side by
+    side; each test waits for its own."""
+    procs = {script: start(script)
+             for script in (ALL, STAR_IMPORT, BARE_IMPORT, SUBMODULE_IMPORT, UNKNOWN_NAME)}
+
+    def run(script: str):
+        proc = procs[script]
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0, stderr
+        return json.loads(stdout)
+
+    yield run
+    for proc in procs.values():
+        if proc.returncode is None:  # its test failed or was not run
+            proc.kill()
+            proc.communicate()
+
+
+def test_all_lists_the_public_names_in_order(run_fresh):
     assert len(EXPECTED_ALL) == 91
-    assert run_fresh("import json, mbsr; print(json.dumps(mbsr.__all__))") == EXPECTED_ALL
+    assert run_fresh(ALL) == EXPECTED_ALL
 
 
-def test_star_import_binds_each_name_from_its_module():
-    bound, mismatched = run_fresh(
-        "import importlib, json, sys\n"
-        "ns = {}\n"
-        "exec('from mbsr import *', ns)\n"
-        "owner = json.loads(sys.argv[1])\n"
-        "bound = sorted(k for k in ns if k != '__builtins__')\n"
-        "bad = [n for n, m in owner.items()\n"
-        "       if ns.get(n) is not getattr(importlib.import_module('mbsr.' + m), n)]\n"
-        "print(json.dumps([bound, bad]))\n")
+def test_star_import_binds_each_name_from_its_module(run_fresh):
+    bound, mismatched = run_fresh(STAR_IMPORT)
     assert bound == sorted(EXPECTED_ALL)
     assert mismatched == []
 
 
-def test_bare_import_gives_every_submodule():
-    found = run_fresh(
-        "import json, types, mbsr\n"
-        f"names = {SUBMODULES!r}\n"
-        "print(json.dumps([n for n in names\n"
-        "                  if isinstance(getattr(mbsr, n, None), types.ModuleType)]))\n")
-    assert found == list(SUBMODULES)
+def test_bare_import_gives_every_submodule(run_fresh):
+    assert run_fresh(BARE_IMPORT) == list(SUBMODULES)
 
 
-def test_submodule_import_loads_only_that_module():
-    loaded = run_fresh(
-        "import json, sys, mbsr.errors\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'mbsr')))\n")
-    assert loaded == ["mbsr", "mbsr.errors"]
+def test_submodule_import_loads_only_that_module(run_fresh):
+    assert run_fresh(SUBMODULE_IMPORT) == ["mbsr", "mbsr.errors"]
 
 
-def test_unknown_name_raises_attribute_error():
-    message = run_fresh(
-        "import json, mbsr\n"
-        "try:\n"
-        "    mbsr.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    print(json.dumps(str(exc)))\n")
-    assert message == "module 'mbsr' has no attribute 'no_such_name'"
+def test_unknown_name_raises_attribute_error(run_fresh):
+    assert run_fresh(UNKNOWN_NAME) == "module 'mbsr' has no attribute 'no_such_name'"
