@@ -32,6 +32,7 @@ from .errors import (
 from .glossary import GlossaryTerm, annotate
 from .model import (
     FIXED_EPOCH,
+    WHOLE_CORPUS,
     AttributeValue,
     ElementKind,
     ExpressionKind,
@@ -42,6 +43,7 @@ from .model import (
     RequirementSet,
     SlotValue,
     StructuredStatement,
+    is_whole_corpus,
 )
 from .trace import add_link, kdr_view
 
@@ -656,41 +658,44 @@ def export_reqif(model: Model, scope_id: str | None = None,
         out.append("        </SPEC-OBJECT>")
     out.append("      </SPEC-OBJECTS>")
 
-    if scope_id and scope_id != "all":
-        roots = [scope_id]
-    else:
+    if is_whole_corpus(scope_id):
         roots = [e.id for e in model.expressions()
                  if e.is_set and model.parent_set(e.id) is None]
+    else:
+        roots = [scope_id]
 
     out.append("      <SPECIFICATIONS>")
-
-    def _hierarchy(node_id: str, depth: int) -> None:
-        pad = " " * (10 + 2 * depth)
-        expr = model.expression(node_id)
-        hid = identify("h", node_id, _identifier(f"h-{node_id}"))
-        if expr.is_set:
-            out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}' "
-                       f"LONG-NAME='{_xml_escape(expr.name, 'set', node_id)}'>")
-            out.append(f"{pad}  <CHILDREN>")
-            for member in expr.members:
-                _hierarchy(member, depth + 2)
-            out.append(f"{pad}  </CHILDREN>")
-            out.append(f"{pad}</SPEC-HIERARCHY>")
-        else:
-            out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}'>")
-            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{ids['object', node_id]}"
-                       f"</SPEC-OBJECT-REF></OBJECT>")
-            out.append(f"{pad}</SPEC-HIERARCHY>")
-
     for root_id in roots:
         rset = model.expression(root_id)
         ident = identify("specification", root_id, root_id)
         out.append(f"        <SPECIFICATION IDENTIFIER='{ident}' "
                    f"LONG-NAME='{_xml_escape(rset.name, 'set', root_id)}'>")
         out.append("          <CHILDREN>")
-        if rset.is_set:
-            for member in rset.members:
-                _hierarchy(member, 2)
+        # pre-order over membership: (member id, depth) entries still to
+        # write, and the closing lines of the sets opened above them
+        pending: list[tuple[str, int] | str] = [(m, 2) for m in reversed(rset.members)]
+        while pending:
+            entry = pending.pop()
+            if isinstance(entry, str):
+                out.append(entry)
+                continue
+            node_id, depth = entry
+            if ("h", node_id) in ids:  # listed again by a members list edited in place
+                continue
+            pad = " " * (10 + 2 * depth)
+            expr = model.expression(node_id)
+            hid = identify("h", node_id, _identifier(f"h-{node_id}"))
+            if expr.is_set:
+                out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}' "
+                           f"LONG-NAME='{_xml_escape(expr.name, 'set', node_id)}'>")
+                out.append(f"{pad}  <CHILDREN>")
+                pending.append(f"{pad}  </CHILDREN>\n{pad}</SPEC-HIERARCHY>")
+                pending.extend((member, depth + 2) for member in reversed(expr.members))
+            else:
+                out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}'>")
+                out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{ids['object', node_id]}"
+                           f"</SPEC-OBJECT-REF></OBJECT>")
+                out.append(f"{pad}</SPEC-HIERARCHY>")
         out.append("          </CHILDREN>")
         out.append("        </SPECIFICATION>")
     out.append("      </SPECIFICATIONS>")
@@ -787,7 +792,7 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
 
     exprs = model.scope_requirements(scope_id)
     lines = ["# Requirements Overview", "",
-             f"Scope: {scope_id if scope_id else 'all'}", "",
+             f"Scope: {scope_id or WHOLE_CORPUS}", "",
              "## Requirements", ""]
     for expr in exprs:
         lines.append(f"### {expr.id} {expr.name}".rstrip())
@@ -818,11 +823,11 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
 def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap | None) -> str:
     from .rules import TBX_RE, _attribute_placeholders, _enabled_checks
 
-    if scope_id and scope_id != "all":
+    if is_whole_corpus(scope_id):
+        set_ids = [e.id for e in model.expressions() if e.is_set]
+    else:
         set_ids = [scope_id] + [i for i in model.transitive_members(scope_id)
                                 if model.expression(i).is_set]
-    else:
-        set_ids = [e.id for e in model.expressions() if e.is_set]
 
     # only the rules that run get a column, then TBX
     node_ids = [node_id for node_id, _, _ in _enabled_checks(model.catalog)]
@@ -836,8 +841,7 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
         rset = model.expression(set_id)
         lines.append(f"## Set {set_id} ({rset.name})")
         lines.append("")
-        members = [model.expression(i) for i in model.transitive_members(set_id)]
-        rows = [m for m in members if not m.is_set]
+        rows = [m for m in map(model.expression, model.transitive_members(set_id)) if not m.is_set]
         lines.append(f"Direct members: {len(rset.members)}; "
                      f"transitive requirements: {len(rows)}")
         lines.append("")

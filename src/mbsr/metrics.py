@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 from .catalog import SLOT_KEYS
 from .errors import MetricHistoryError, NoInstancesError, UnknownColumnError
-from .model import Model, as_utc
+from .model import WHOLE_CORPUS, Model, as_utc
 
 METRIC_TYPE = "slot_completeness"
 
 CSV_COLUMNS = ("timestamp", "scope", "type", "total",
-               "sr1", "sr2", "sr3", "sr4", "sr5", "complete", "pct")
+               *(key.lower() for key in SLOT_KEYS), "complete", "pct")
 
 
 class MetricInstance(NamedTuple):
@@ -28,7 +28,7 @@ class MetricInstance(NamedTuple):
     scope: str
     metric_type: str
     total: int
-    slot_counts: tuple[int, int, int, int, int]
+    slot_counts: tuple[int, ...]  # one count per SLOT_KEYS key
     complete: int
     pct: float
 
@@ -43,7 +43,7 @@ def compute_slot_completeness(model: Model, scope_id: str | None = None,
     """Measure the scope now; the caller decides whether to record it."""
     exprs = model.scope_requirements(scope_id)
     total = len(exprs)
-    counts = [0, 0, 0, 0, 0]
+    counts = [0] * len(SLOT_KEYS)
     complete = 0
     for expr in exprs:
         if expr.statement is None:
@@ -55,7 +55,7 @@ def compute_slot_completeness(model: Model, scope_id: str | None = None,
     pct = round(100.0 * complete / total, 2) if total else 0.0
     return MetricInstance(
         timestamp=timestamp if timestamp is not None else model.clock(),
-        scope=scope_id if scope_id else "all",
+        scope=scope_id or WHOLE_CORPUS,
         metric_type=METRIC_TYPE,
         total=total,
         slot_counts=tuple(counts),
@@ -102,21 +102,22 @@ def load_history_csv(text: str) -> list[MetricInstance]:
             if len(row) != len(CSV_COLUMNS):
                 raise UnknownColumnError(
                     f"metric row has {len(row)} columns, expected {len(CSV_COLUMNS)}")
+            timestamp, scope, metric_type, total, *counts, complete, pct = row
             instance = MetricInstance(
-                timestamp=datetime.fromisoformat(row[0]),
-                scope=row[1],
-                metric_type=row[2],
-                total=int(row[3]),
-                slot_counts=tuple(int(n) for n in row[4:9]),
-                complete=int(row[9]),
-                pct=float(row[10]),
+                timestamp=datetime.fromisoformat(timestamp),
+                scope=scope,
+                metric_type=metric_type,
+                total=int(total),
+                slot_counts=tuple(map(int, counts)),
+                complete=int(complete),
+                pct=float(pct),
             )
             if not all(0 <= n <= instance.total
                        for n in (*instance.slot_counts, instance.complete)):
                 raise ValueError(
-                    f"counts {','.join(row[4:10])} must lie between 0 and total {row[3]}")
+                    f"counts {','.join((*counts, complete))} must lie between 0 and total {total}")
             if not 0 <= instance.pct <= 100:  # false for nan too
-                raise ValueError(f"pct {row[10]!r} is not between 0 and 100")
+                raise ValueError(f"pct {pct!r} is not between 0 and 100")
             history.append(instance)
     except (ValueError, csv.Error) as exc:
         raise MetricHistoryError(

@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .catalog import PATTERNS, SLOT_KEYS, Catalog, ValueKind, default_catalog
 from .errors import (
@@ -44,6 +44,13 @@ DEFAULT_MODEL_UUID = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 
 # wall-clock epoch used when a caller wants reproducible output
 FIXED_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
+
+# the scope id that means the whole corpus, so no id may take it
+WHOLE_CORPUS = "all"
+
+
+def is_whole_corpus(scope_id: str | None) -> bool:
+    return scope_id is None or scope_id == WHOLE_CORPUS
 
 
 def as_utc(instant: datetime) -> datetime:
@@ -268,6 +275,8 @@ class Model:
         if self.catalog.is_graph_node(any_id):
             raise DuplicateIdError(
                 f"id {any_id!r} is reserved for a rule or characteristic node")
+        if any_id == WHOLE_CORPUS:
+            raise DuplicateIdError(f"id {any_id!r} is reserved for the whole-corpus scope")
         if any_id in self._elements or any_id in self._expressions:
             raise DuplicateIdError(f"id {any_id!r} already in use")
 
@@ -318,10 +327,12 @@ class Model:
     def add_set(self, rset: RequirementSet) -> None:
         self.add_expression(rset)
 
-    def _check_members(self, set_id: str, members: Iterable[str]) -> None:
-        # membership is a tree, so a member closes a cycle exactly when it
-        # is one of the set's ancestors
-        ancestors = self.containing_sets(set_id)
+    def _check_members(self, set_id: str, members: list[str]) -> None:
+        # membership is a tree, so a member closes a cycle exactly when it is
+        # one of the set's ancestors; each of those holds members, so the walk
+        # up is left out when no member does, as in a tree filled top-down
+        ancestors = set(self.containing_sets(set_id)) if any(
+            getattr(self._expressions.get(m), "members", None) for m in members) else ()
         seen: set[str] = set()
         for member in members:
             if member == set_id:
@@ -400,22 +411,14 @@ class Model:
     def sync_copies_of(self, source_id: str, touch: bool = True) -> None:
         """Push text to all transitive copies of source_id; touch=False skips
         the copies' change stamps (used when loaders rebuild state)."""
-        pending = [source_id]
-        visited: set[str] = set()
-        while pending:
-            current = pending.pop()
-            if current in visited:
-                continue
-            visited.add(current)
-            src = self._expressions[current]
-            for link in self._links_by_target.get(current, ()):
-                if link.kind == LinkKind.COPY:
-                    copy = self._expressions[link.source_id]
-                    if copy.text != src.text:
-                        copy.text = src.text
-                        if touch:
-                            self._touch(copy)
-                    pending.append(copy.id)
+        text = self._expressions[source_id].text
+        for layer in self.link_layers(source_id, LinkKind.COPY, reverse=True):
+            for copy_id in layer:
+                copy = self._expressions[copy_id]
+                if copy.text != text:
+                    copy.text = text
+                    if touch:
+                        self._touch(copy)
 
     # --- link storage (semantics live in trace) ---
 
@@ -439,31 +442,45 @@ class Model:
             _unindex(self._links_by_source, link.source_id, link_id)
             _unindex(self._links_by_target, link.target_id, link_id)
 
+    def link_layers(self, start: str, kind: LinkKind,
+                    reverse: bool = False) -> Iterator[list[str]]:
+        """Breadth-first layers of the closure from start over kind links, target
+        to source when reverse; each id comes once, and start never."""
+        index = self._links_by_target if reverse else self._links_by_source
+        seen = {start}
+        layer = [start]
+        while layer:
+            frontier, layer = layer, []
+            for node in frontier:
+                for link in index.get(node, ()):
+                    if link.kind == kind:
+                        next_id = link.source_id if reverse else link.target_id
+                        if next_id not in seen:
+                            seen.add(next_id)
+                            layer.append(next_id)
+            if layer:
+                yield layer
+
     # --- scopes ---
 
     def transitive_members(self, set_id: str) -> list[str]:
         expr = self._expressions.get(set_id)
         if expr is None or not expr.is_set:
             raise UnknownScopeError(f"{set_id!r} is not a known set")
-        out: list[str] = []
-        seen: set[str] = set()
-
-        def walk(rset: RequirementSet) -> None:
-            for member in rset.members:
-                if member in seen:
-                    continue
-                seen.add(member)
-                out.append(member)
+        seen: dict[str, None] = {}  # the members and theirs in pre-order, each once
+        pending = expr.members[::-1]
+        while pending:
+            member = pending.pop()
+            if member not in seen:
+                seen[member] = None
                 child = self._expressions[member]
                 if child.is_set:
-                    walk(child)
-
-        walk(expr)
-        return out
+                    pending.extend(reversed(child.members))
+        return list(seen)
 
     def scope_expressions(self, scope_id: str | None) -> list[RequirementExpression]:
         """Expressions in scope, in id order: a set's transitive members, or all."""
-        if scope_id is None or scope_id == "all":
+        if is_whole_corpus(scope_id):
             return self.expressions()
         return sorted(map(self._expressions.__getitem__, self.transitive_members(scope_id)),
                       key=_expr_id)
@@ -474,12 +491,13 @@ class Model:
 
     def containing_sets(self, expr_id: str) -> list[str]:
         """Ancestor set chain, nearest first."""
-        out: list[str] = []
+        # the test stops a cycle that a members list edited in place let through
+        out: dict[str, None] = {}
         current = self._parent.get(expr_id)
         while current is not None and current not in out:
-            out.append(current)
+            out[current] = None
             current = self._parent.get(current)
-        return out
+        return list(out)
 
 
 def _unindex(index: dict[str, list[TraceLink]], node_id: str, link_id: str) -> None:

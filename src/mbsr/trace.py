@@ -9,7 +9,8 @@ containment edges are synthesized from it on demand.
 from __future__ import annotations
 
 import warnings
-from typing import Iterator, NamedTuple
+from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
     CycleDetectedError,
@@ -41,25 +42,6 @@ def _require_element(model: Model, any_id: str, role: str, kind: LinkKind) -> No
     if not model.has_element(any_id):
         raise KindConstraintViolationError(
             f"{kind.value} {role} {any_id!r} must be a model element")
-
-
-def _layers(model: Model, start: str, kind: LinkKind,
-            reverse: bool = False) -> Iterator[list[str]]:
-    """Breadth-first layers of the closure from start over kind links,
-    source-to-target (target-to-source when reverse); each id comes once."""
-    seen = {start}
-    layer = [start]
-    while layer:
-        frontier, layer = layer, []
-        for node in frontier:
-            for link in model.links_to(node) if reverse else model.links_from(node):
-                if link.kind == kind:
-                    next_id = link.source_id if reverse else link.target_id
-                    if next_id not in seen:
-                        seen.add(next_id)
-                        layer.append(next_id)
-        if layer:
-            yield layer
 
 
 def synthesized_containment(model: Model) -> list[TraceLink]:
@@ -129,8 +111,9 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
     if kind == LinkKind.COPY and (mirrored := model.copy_source_of(source_id)) is not None:
         raise KindConstraintViolationError(f"{source_id!r} already mirrors {mirrored!r}")
 
-    if kind in ACYCLIC_KINDS:
-        for layer in _layers(model, target_id, kind):
+    # a cycle through the new link ends in a kind link into its source
+    if kind in ACYCLIC_KINDS and any(l.kind == kind for l in model.links_to(source_id)):
+        for layer in model.link_layers(target_id, kind):
             if source_id in layer:
                 raise CycleDetectedError(
                     f"{kind.value} link {source_id} -> {target_id} would close a cycle")
@@ -162,13 +145,10 @@ def _bfs(model: Model, start: str, kind: LinkKind, reverse: bool,
          max_depth: int | None = None) -> list[str]:
     """Transitive closure over one kind, BFS order, ties id-sorted per layer,
     at most max_depth layers when given."""
-    out: list[str] = []
-    if max_depth is None or max_depth > 0:
-        for depth, layer in enumerate(_layers(model, start, kind, reverse), start=1):
-            out.extend(sorted(layer))
-            if depth == max_depth:
-                break
-    return out
+    layers = model.link_layers(start, kind, reverse)
+    if max_depth is not None:
+        layers = islice(layers, max(max_depth, 0))
+    return [node for layer in layers for node in sorted(layer)]
 
 
 class TraceView(Record):

@@ -71,6 +71,20 @@ def test_parse_unparseable_text_exits_one(capsys, tmp_path):
     assert "SR5" in out  # names the slot that stays empty
 
 
+def test_set_named_all_is_a_load_error(capsys, tmp_path):
+    # --scope all means the whole corpus, so a set may not take that id
+    corpus = tmp_path / "t.mbsr"
+    corpus.write_text(
+        "[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
+        "[requirement R-2]\ntext = The System shall stop within 2 s.\n\n"
+        "[set all]\nmembers = R-1\n", encoding="utf-8")
+    code, out, err = run(capsys, "--corpus", str(corpus), "--scope", "all", "lint")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: line 7: [set all] DuplicateIdError: "
+                   "id 'all' is reserved for the whole-corpus scope\n")
+
+
 def test_parse_set_id_is_a_usage_error(capsys):
     # a set has no statement to parse: exit 2 (usage), not 1 (findings)
     code, out, err = run(capsys, "--corpus", TRACECHAIN, "parse", "SET-ALL")

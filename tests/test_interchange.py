@@ -16,6 +16,7 @@ from mbsr import (
     RequirementExpression,
     apply_verdicts,
     check_scope,
+    compute_slot_completeness,
     export_dot,
     export_reqif,
     export_table,
@@ -35,6 +36,7 @@ from mbsr.errors import (
     MappingMissingError,
     MbsrError,
     UnknownColumnError,
+    UnknownScopeError,
 )
 from mbsr.interchange import (
     PROFILE,
@@ -497,6 +499,19 @@ def test_reqif_identifiers_are_unique_when_hierarchy_ids_clash(catalog):
     assert len(leaves) == 3 and {tag.rsplit("}", 1)[1] for tag in leaves} == {"SPEC-OBJECT"}
 
 
+def test_reqif_hierarchy_writes_each_node_once(catalog):
+    model = loads_corpus(
+        "[requirement R-1]\nname = One\ntext = The System shall run within 1 s.\n\n"
+        "[set S-1]\nname = Inner\nmembers = R-1\n\n"
+        "[set S-0]\nname = Outer\nmembers = S-1\n", catalog, clock=fixed_clock)
+    # members is a public list: edited in place, it can name an ancestor
+    # and list a member twice, and the walk must still end
+    model.expression("S-1").members.extend(["S-0", "R-1"])
+    text = export_reqif(model)
+    ElementTree.fromstring(text)
+    assert re.findall(r"<SPEC-HIERARCHY IDENTIFIER='([^']+)'", text) == ["h-S-1", "h-R-1", "h-S-0"]
+
+
 def test_reqif_identifiers_start_with_a_letter(catalog):
     model = loads_corpus(
         "[requirement 1.2]\nname = One\ntext = The System shall run within 1 s.\n\n"
@@ -601,6 +616,19 @@ def test_set_review_counts_tbx_occurrences(catalog):
     assert "2 unresolved placeholder(s)" in report
     assert "TBD (text" in report
     assert "TBR (attribute A01)" in report
+
+
+@pytest.mark.parametrize("scoped", [
+    lambda model, scope: generate_report(model, scope, "Overview"),
+    lambda model, scope: generate_report(model, scope, "SetReview"),
+    lambda model, scope: export_reqif(model, scope, {"A01": "Rationale", "A38": "Marker"}),
+    lambda model, scope: compute_slot_completeness(model, scope, fixed_clock()),
+])
+def test_whole_corpus_is_none_or_all_and_nothing_else(scoped, tracechain_model):
+    whole = scoped(tracechain_model, None)
+    assert scoped(tracechain_model, "all") == whole
+    with pytest.raises(UnknownScopeError):
+        scoped(tracechain_model, "")
 
 
 def test_unknown_template_rejected(asteroid_model):

@@ -1,6 +1,7 @@
 """Model store: ids, attributes, membership, copy mirroring, change stamps."""
 
-from datetime import datetime, timezone
+import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -18,6 +19,7 @@ from mbsr import (
     StructuredStatement,
     TraceLink,
     load_catalog,
+    loads_corpus,
 )
 from mbsr.errors import (
     DerivedAttributeError,
@@ -72,6 +74,16 @@ def test_catalog_node_ids_are_reserved():
         model.add_expression(RequirementExpression("R1"))
     with pytest.raises(DuplicateIdError):
         model.add_element(ModelElement("C3", "Clash", ElementKind.BLOCK))
+
+
+def test_whole_corpus_id_is_reserved():
+    # "all" as a scope means the whole corpus, so no set may be called that
+    model = build_model()
+    with pytest.raises(DuplicateIdError, match="whole-corpus scope"):
+        model.add_set(RequirementSet("all", members=["R-1"]))
+    with pytest.raises(DuplicateIdError):
+        model.add_element(ModelElement("all", "Everything", ElementKind.BLOCK))
+    assert model.parent_set("R-1") is None
 
 
 def test_malformed_ids_rejected():
@@ -284,6 +296,18 @@ def test_membership_cycle_rejected():
     assert model.containing_sets("SET-SIDE") == ["SET-LOW", "SET-MID", "SET-TOP"]
 
 
+def test_ancestor_walk_ends_after_members_edited_in_place():
+    model = build_model()
+    model.add_set(RequirementSet("SET-B", members=["R-1"]))
+    model.add_set(RequirementSet("SET-A", members=["SET-B"]))
+    # members is a public list; emptied in place, SET-A no longer holds
+    # SET-B, so SET-B may take it, and SET-B's stale parent entry remains
+    model.expression("SET-A").members.clear()
+    model.set_members("SET-B", ["R-1", "SET-A"])
+    assert model.containing_sets("R-1") == ["SET-B", "SET-A"]
+    assert model.transitive_members("SET-B") == ["R-1", "SET-A"]
+
+
 def test_failed_member_update_leaves_model_unchanged():
     model = build_model()
     model.add_set(RequirementSet("SET-A", name="Top", members=["R-1"]))
@@ -312,6 +336,46 @@ def test_transitive_members_nested():
         model.transitive_members("R-1")
 
 
+def _members_reference(model, set_id):
+    """transitive_members as the recursive walk it replaced."""
+    out, seen = [], set()
+
+    def walk(rset):
+        for member in rset.members:
+            if member not in seen:
+                seen.add(member)
+                out.append(member)
+                if model.expression(member).is_set:
+                    walk(model.expression(member))
+
+    walk(model.expression(set_id))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+def test_transitive_members_matches_a_recursive_walk(seed):
+    rng = random.Random(seed)
+    model = Model(clock=fixed_clock)
+    # a random forest, built leaves first: each new set takes some of the
+    # requirements and sets that no set holds yet
+    free = [f"R-{i}" for i in range(40)]
+    for rid in free:
+        model.add_expression(RequirementExpression(rid))
+    for i in range(30):
+        members = rng.sample(free, rng.randint(0, min(4, len(free))))
+        free = [f for f in free if f not in members] + [f"S-{i}"]
+        model.add_set(RequirementSet(f"S-{i}", members=members))
+    set_ids = [e.id for e in model.expressions() if e.is_set]
+    for set_id in set_ids:
+        assert model.transitive_members(set_id) == _members_reference(model, set_id)
+    # members is a public list: one edited in place to share a member, or
+    # to hold an ancestor, still lists each id once
+    for _ in range(5):
+        model.expression(rng.choice(set_ids)).members.append(rng.choice(set_ids))
+    for set_id in set_ids:
+        assert model.transitive_members(set_id) == _members_reference(model, set_id)
+
+
 def test_scope_expressions():
     model = build_model()
     model.add_set(RequirementSet("SET-A", name="Top", members=["R-2"]))
@@ -338,13 +402,32 @@ def test_copy_mirrors_and_rejects_direct_edits():
 
 
 def test_chained_copies_sync_transitively():
-    model = build_model()
-    model.add_expression(RequirementExpression("R-1c", name="Mirror"))
-    model.add_expression(RequirementExpression("R-1cc", name="MirrorOfMirror"))
-    model.store_link(TraceLink("lnk-1", LinkKind.COPY, "R-1c", "R-1"))
-    model.store_link(TraceLink("lnk-2", LinkKind.COPY, "R-1cc", "R-1c"))
+    # R-1 has copies C-1 and C-2, C-1 has C-11 and C-12, C-2 has C-21, which has C-211
+    tree = {"C-1": "R-1", "C-2": "R-1", "C-11": "C-1", "C-12": "C-1", "C-21": "C-2",
+            "C-211": "C-21"}
+    blocks = ["[requirement R-1]\ntext = The System shall run within 1 s.\n"]
+    blocks += [f"[requirement {copy}]\ntext = stale\n" for copy in tree]
+    blocks += [f"[link lnk-{copy}]\nkind = Copy\nsource = {copy}\ntarget = {source}\n"
+               for copy, source in tree.items()]
+    ticks: list[datetime] = []
+
+    def ticking_clock():
+        ticks.append(STAMP + timedelta(seconds=len(ticks)))
+        return ticks[-1]
+
+    model = loads_corpus("\n".join(blocks), clock=ticking_clock)
+    assert ticks == []  # loading mirrors the texts without a stamp
+    assert {model.expression(c).text for c in tree} == {"The System shall run within 1 s."}
+
     model.set_text("R-1", "The System shall idle within 4 s.")
-    assert model.expression("R-1cc").text == "The System shall idle within 4 s."
+    assert {model.expression(c).text for c in tree} == {"The System shall idle within 4 s."}
+    stamps = {c: model.get_attribute(c, "A14").value for c in tree}
+    # the source and then each copy once, nearer copies first
+    assert len(ticks) == 1 + len(tree)
+    assert sorted(stamps.values()) == ticks[1:]
+    layers = [["C-1", "C-2"], ["C-11", "C-12", "C-21"], ["C-211"]]
+    for near, far in zip(layers, layers[1:]):
+        assert max(stamps[c] for c in near) < min(stamps[c] for c in far)
 
 
 def test_next_link_id_skips_taken_ids():

@@ -247,6 +247,10 @@ def test_trace_depth_limit(catalog):
     model = chain_model(catalog)
     view = bidirectional_trace(model, "L3", max_depth=1)
     assert view.derives_from == ["L2"]
+    assert bidirectional_trace(model, "L3", max_depth=5).derives_from == ["L2", "L1"]
+    # a depth below 1 gives no layers, also a negative one from a library caller
+    for depth in (0, -1):
+        assert bidirectional_trace(model, "L3", max_depth=depth).derives_from == []
 
 
 def test_unknown_root_raises(catalog):
