@@ -31,6 +31,7 @@ from .interchange import (
     generate_report,
     load_attribute_mapping,
     load_corpus,
+    markdown_table,
     serialize_corpus,
     table_rows,
 )
@@ -193,21 +194,31 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
-    from .rules import check_scope, verdict_map
+def _verdicts(model: Model, args: argparse.Namespace) -> dict:
+    from .rules import scope_verdicts
+    return scope_verdicts(model, args.scope)
 
-    # every automated rule keeps its column, a disabled one too
-    columns = ["id", *(rule.rule_id for rule in model.catalog.automated_rules()), TBX_ID]
-    verdicts = verdict_map(check_scope(model, args.scope))
-    if args.format == "csv":
-        _emit(export_table(model, args.scope, columns, verdicts), args.out)
-        return 0
-    rows = [columns, ["---"] * len(columns)] + table_rows(model, args.scope, columns, verdicts)
-    _emit("".join("| " + " | ".join(row) + " |\n" for row in rows), args.out)
+
+# the scope as a table in args.format, csv or md, for matrix and the csv export;
+# its verdict cells read the current findings, and the rule checkers are
+# imported only when a column is a rule or characteristic node
+def _table(model: Model, args: argparse.Namespace, columns: list[str]) -> int:
+    verdicts = _verdicts(model, args) if any(map(model.catalog.is_graph_node, columns)) else None
+    _emit(export_table(model, args.scope, columns, verdicts) if args.format == "csv" else
+          markdown_table(columns, table_rows(model, args.scope, columns, verdicts)), args.out)
     return 0
 
 
+def _cmd_matrix(model: Model, args: argparse.Namespace) -> int:
+    # every automated rule keeps its column, a disabled one too
+    return _table(model, args, ["id", *(rule.rule_id for rule in model.catalog.automated_rules()),
+                                TBX_ID])
+
+
 def _cmd_export(model: Model, args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        return _table(model, args, ["id", "name", "text", *SLOT_KEYS] if args.columns is None
+                      else list(split_list(args.columns)))
     if args.format == "xmi":
         _emit(export_xmi(model, args.scope), args.out)
     elif args.format == "reqif":
@@ -216,17 +227,8 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
             mapping = load_attribute_mapping(
                 Path(args.mapping).read_text(encoding="utf-8"))
         _emit(export_reqif(model, args.scope, mapping), args.out)
-    elif args.format == "csv":
-        if args.columns is not None:
-            columns = list(split_list(args.columns))
-        else:
-            columns = ["id", "name", "text", *SLOT_KEYS]
-        _emit(export_table(model, args.scope, columns), args.out)
     elif args.format == "md":
-        verdicts = None
-        if args.template == "SetReview":
-            from .rules import check_scope, verdict_map
-            verdicts = verdict_map(check_scope(model, args.scope))
+        verdicts = _verdicts(model, args) if args.template == "SetReview" else None
         _emit(generate_report(model, args.scope, args.template, verdicts), args.out)
     elif args.format == "dot":
         _emit(export_dot(model, args.scope), args.out)

@@ -761,8 +761,8 @@ def export_table(model: Model, scope_id: str | None, columns: list[str],
 
     Columns: id, name, text, SR1..SR5, any attribute key, or a rule or
     characteristic node id rendered as S/V/M (M = no verdict): from the
-    expression's entry in verdicts (`rules.verdict_map`, plus `rules.rollup`
-    for characteristics) when it has one, else from its stored links.
+    expression's entry in verdicts (`rules.scope_verdicts`) when it has one,
+    else from its stored links; verdicts=None suits callers that applied them.
     """
     import csv
 
@@ -770,6 +770,11 @@ def export_table(model: Model, scope_id: str | None, columns: list[str],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerows([columns] + table_rows(model, scope_id, columns, verdicts))
     return out.getvalue()
+
+
+def markdown_table(header: list[str], rows: list[list[str]]) -> str:
+    """A Markdown table: the header, its rule line, then one line per row."""
+    return "".join(f"| {' | '.join(row)} |\n" for row in [header, ["---"] * len(header), *rows])
 
 
 # --- Markdown reports ---
@@ -847,12 +852,9 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
         lines.append("")
         lines.append("### Satisfaction Matrix")
         lines.append("")
-        lines.append("| requirement | " + " | ".join(node_ids) + " |")
-        lines.append("| --- |" + " --- |" * len(node_ids))
-        for expr in rows:
-            cells = [_verdict_letter(model, expr.id, n, verdicts) for n in node_ids]
-            lines.append(f"| {expr.id} | " + " | ".join(cells) + " |")
-        lines.append("")
+        lines.append(markdown_table(["requirement", *node_ids], [
+            [expr.id, *(_verdict_letter(model, expr.id, n, verdicts) for n in node_ids)]
+            for expr in rows]))
         lines.append("### TBX Summary")
         lines.append("")
         occurrences: list[str] = []
@@ -906,7 +908,7 @@ REPORT_TEMPLATES = ("Overview", "SetReview")
 
 def generate_report(model: Model, scope_id: str | None, template: str,
                     verdicts: VerdictMap | None = None) -> str:
-    """Markdown report; SetReview reads verdicts as export_table does."""
+    """Markdown report; SetReview reads verdicts, or stored links, as export_table does."""
     if template == "Overview":
         return _overview_report(model, scope_id)
     if template == "SetReview":

@@ -371,9 +371,7 @@ class Model:
         if self.copy_source_of(expr_id) is not None:
             raise ReadOnlyCopyError(f"{expr_id!r} mirrors a Copy source; edit the source instead")
         if expr.text != text:
-            expr.text = text
-            self._touch(expr)
-            self.sync_copies_of(expr_id)
+            self.sync_copies_of(expr_id, text=text)
 
     def set_statement(self, expr_id: str, statement: StructuredStatement | None) -> None:
         expr = self.expression(expr_id)
@@ -408,11 +406,13 @@ class Model:
                 return link.target_id
         return None
 
-    def sync_copies_of(self, source_id: str, touch: bool = True) -> None:
-        """Push text to all transitive copies of source_id; touch=False skips
-        the copies' change stamps (used when loaders rebuild state)."""
-        text = self._expressions[source_id].text
-        for layer in self.link_layers(source_id, LinkKind.COPY, reverse=True):
+    def sync_copies_of(self, source_id: str, touch: bool = True,
+                       text: str | None = None) -> None:
+        """Write text, by default source_id's own, to source_id and then to its
+        transitive copies, breadth first, where it differs; touch=False skips
+        the change stamps (used when loaders rebuild state)."""
+        text = self._expressions[source_id].text if text is None else text
+        for layer in [[source_id], *self.link_layers(source_id, LinkKind.COPY, reverse=True)]:
             for copy_id in layer:
                 copy = self._expressions[copy_id]
                 if copy.text != text:

@@ -251,10 +251,14 @@ def _contributors(catalog: Catalog) -> dict[str, list[str]]:
 
 def _rollup(contributors: dict[str, list[str]],
             verdicts: dict[str, Verdict]) -> dict[str, Verdict]:
-    return {char_id: (Verdict.SATISFY
-                      if all(verdicts.get(r) is Verdict.SATISFY for r in rule_ids)
-                      else Verdict.VIOLATE)
+    satisfied = {rule_id for rule_id, v in verdicts.items() if v is Verdict.SATISFY}
+    return {char_id: Verdict.SATISFY if satisfied.issuperset(rule_ids) else Verdict.VIOLATE
             for char_id, rule_ids in contributors.items()}
+
+
+def _with_rollup(contributors: dict[str, list[str]],
+                 verdicts: dict[str, Verdict]) -> dict[str, Verdict]:
+    return {**verdicts, **_rollup(contributors, verdicts)}
 
 
 def rollup(catalog: Catalog, verdicts: dict[str, Verdict]) -> dict[str, Verdict]:
@@ -289,9 +293,8 @@ def apply_verdicts(model: Model, findings: list[RuleFinding]) -> int:
         verdicts = by_expr[expr_id]
         key = tuple(verdicts.items())
         if key not in wanted:
-            rule_only = {k: v for k, v in verdicts.items() if k in catalog.rules}
-            merged = {**verdicts, **_rollup(contributors, rule_only)}
-            wanted[key] = {node_id: v.link_kind for node_id, v in merged.items()}
+            wanted[key] = {node_id: v.link_kind
+                           for node_id, v in _with_rollup(contributors, verdicts).items()}
         desired = dict(wanted[key])
 
         for link in model.links_from(expr_id):
@@ -315,3 +318,11 @@ def verdict_map(findings: list[RuleFinding]) -> dict[str, dict[str, Verdict]]:
     for finding in findings:
         out.setdefault(finding.expression_id, {})[finding.rule_id] = finding.verdict
     return out
+
+
+def scope_verdicts(model: Model, scope_id: str | None = None) -> dict[str, dict[str, Verdict]]:
+    """verdict_map of the scope's current findings, each requirement's
+    characteristic rollup merged in: the verdicts every table reads."""
+    _, contributors, _ = _plan(model)
+    return {expr_id: _with_rollup(contributors, verdicts)
+            for expr_id, verdicts in verdict_map(check_scope(model, scope_id)).items()}

@@ -121,7 +121,11 @@ def add_link(model: Model, kind: LinkKind, source_id: str, target_id: str,
     link = TraceLink(link_id or model.next_link_id(), kind, source_id, target_id)
     model.store_link(link)
     if kind == LinkKind.COPY:
-        model.sync_copies_of(target_id, touch=touch)
+        # only the new copy and its own copies can change, and none when the
+        # copy holds its source's text already, since its copies mirror it
+        text = model.expression(target_id).text
+        if model.expression(source_id).text != text:
+            model.sync_copies_of(source_id, touch, text)
     return link
 
 

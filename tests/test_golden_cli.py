@@ -7,8 +7,8 @@ exit code and stderr. A refactor or speed-up must leave them unchanged.
 
 The `verdicts` fixture stores Satisfy/Violate links on a Need and on checked
 requirements; its extra cases disable R2 through a catalog override or
-narrow the scope, so the matrix and the SetReview report show which cells
-come from current findings and which from stored links. The `phrase_rules`
+narrow the scope, so the matrix, the csv export and the SetReview report
+show which cells come from current findings and which from stored links. The `phrase_rules`
 fixture runs only its own cases: lint with the stock catalog, then lint and
 the matrix with a config that turns the Guide's R7, R8 and R9 on as phrase
 rules.
@@ -96,7 +96,7 @@ _EXTRA = {
 }
 
 # cases whose output is built from verdicts; none may store a verdict link
-_VERDICT_READERS = ("lint", "matrix-", "export-md-setreview")
+_VERDICT_READERS = ("lint", "matrix-", "export-csv", "export-md-setreview")
 
 
 def _cases() -> dict[str, list[str]]:
@@ -148,9 +148,9 @@ def test_cli_output_matches_golden(case, expected):
 
 @pytest.mark.parametrize("fixture", sorted(_PARSE_IDS))
 def test_lint_output_needs_no_verdict_links(fixture, expected, monkeypatch):
-    """lint, matrix and the SetReview report read verdicts from the findings:
-    with apply_verdicts failing, every such case still gives its golden
-    output."""
+    """lint, matrix, the csv export and the SetReview report read verdicts
+    from the findings: with apply_verdicts failing, every such case still
+    gives its golden output."""
     def refuse(model, findings):
         raise AssertionError("verdict links were applied")
 

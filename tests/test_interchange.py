@@ -1,5 +1,6 @@
 """Corpus format round trips, XMI export/import, ReqIF, tables, reports."""
 
+import csv
 import random
 import re
 import time
@@ -11,9 +12,11 @@ import pytest
 
 from bench.corpus import CHARACTERISTICS, RULES, SHAPES, generate
 from mbsr import (
+    TBX_ID,
     AttributeValue,
     Model,
     RequirementExpression,
+    Verdict,
     apply_verdicts,
     check_scope,
     compute_slot_completeness,
@@ -58,8 +61,9 @@ from mbsr.model import (
     StructuredStatement,
 )
 from mbsr.parser import parse_statement
-from mbsr.rules import verdict_map
-from tests.conftest import CORPUS_DIR, fixed_clock
+from mbsr.cli import main
+from mbsr.rules import scope_verdicts, verdict_map
+from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
 FIXTURE_NAMES = ("asteroid", "tracechain", "metrics10", "mixed", "mixed_fixed", "verdicts")
 
@@ -693,12 +697,58 @@ def test_verdict_map_renders_like_applied_verdict_links(workload, seed, tmp_path
     for scope in (corpus.leaf_sets()[0], None):
         findings = check_scope(model, scope)
         verdicts = verdict_map(findings)
-        with_rollup = {eid: {**v, **rollup(model.catalog, v)} for eid, v in verdicts.items()}
-        table = export_table(model, None, columns, with_rollup)
+        table = export_table(model, None, columns, scope_verdicts(model, scope))
         report = generate_report(model, None, "SetReview", verdicts)
         assert apply_verdicts(model, findings) > 0
         assert export_table(model, None, columns) == table
         assert generate_report(model, None, "SetReview") == report
+
+
+def _cli_out(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,config", [
+    *((name, config) for name in FIXTURE_NAMES for config in (None, "r2_disabled.cfg")),
+    ("bulk-lint", None), ("trace-review", None)])
+def test_matrix_and_csv_export_read_the_same_verdicts(name, config, tmp_path, capsys):
+    """On every shipped fixture, with and without R2 disabled, and on both
+    generated workloads with their own catalog override: `matrix --format
+    csv` equals the csv export of the same columns byte for byte, and each
+    characteristic cell of a checked requirement is the rollup of its row's
+    rule cells."""
+    if name in SHAPES:
+        corpus, _ = _generated(name, 1, tmp_path)
+        path = tmp_path / "corpus.mbsr"
+        path.write_text(corpus.text(), encoding="utf-8")
+        config = tmp_path / "catalog.cfg" if corpus.config_text is not None else None
+    else:
+        path = CORPUS_DIR / f"{name}.mbsr"
+        config = FIXTURES_DIR / config if config else None
+    model = load_corpus(path, load_catalog(config), clock=fixed_clock)
+    argv = ["--corpus", str(path), *(["--config", str(config)] if config else [])]
+    rules = [rule.rule_id for rule in model.catalog.automated_rules()]
+    matrix = _cli_out(capsys, [*argv, "matrix", "--format", "csv"])
+    export = _cli_out(capsys, [*argv, "export", "--format", "csv",
+                               "--columns", ",".join(["id", *rules, TBX_ID])])
+    assert export == matrix
+
+    chars = sorted(model.catalog.characteristics)
+    columns = ["id", *rules, *chars]
+    table = _cli_out(capsys, [*argv, "export", "--format", "csv", "--columns", ",".join(columns)])
+    checked = {e.id for e in model.scope_requirements(None)
+               if e.kind == ExpressionKind.REQUIREMENT}
+    verdict_of = {"S": Verdict.SATISFY, "V": Verdict.VIOLATE}
+    letter_of = {verdict: letter for letter, verdict in verdict_of.items()}
+    rows = [dict(zip(columns, row)) for row in csv.reader(table.splitlines()[1:])]
+    assert checked and {row["id"] for row in rows} >= checked
+    for row in rows:
+        if row["id"] in checked:
+            implied = rollup(model.catalog, {rule: verdict_of[row[rule]]
+                                             for rule in rules if row[rule] in verdict_of})
+            assert [row[c] for c in chars] == [letter_of.get(implied.get(c), "M")
+                                               for c in chars], row["id"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -430,6 +430,37 @@ def test_chained_copies_sync_transitively():
         assert max(stamps[c] for c in near) < min(stamps[c] for c in far)
 
 
+@pytest.mark.parametrize("root_text", ["The System shall run within 1 s.",
+                                       "The System shall run within 2 s."],
+                         ids=["mirrored", "root-edited"])
+def test_loading_a_copy_chain_far_end_first_walks_each_copy_at_most_once(root_text, monkeypatch):
+    """A Copy chain whose copies hold one text, written from the far end as
+    the link ids order it: each new link changes only the new copy and its
+    own copies, and none when the copy holds its source's text already, so
+    loading walks fewer copies than the chain holds, whether the root holds
+    the copies' text or a newer one."""
+    n = 2000
+    text = "The System shall run within 1 s."
+    blocks = [f"[requirement C-0000]\ntext = {root_text}\n"]
+    blocks += [f"[requirement C-{i:04d}]\ntext = {text}\n" for i in range(1, n + 1)]
+    blocks += [f"[link lnk-{n - i:04d}]\nkind = Copy\nsource = C-{i:04d}\n"
+               f"target = C-{i - 1:04d}\n" for i in range(n, 0, -1)]
+    walked = []
+    link_layers = Model.link_layers
+
+    def counting_layers(self, *args, **kwargs):
+        for layer in link_layers(self, *args, **kwargs):
+            walked.extend(layer)
+            yield layer
+
+    monkeypatch.setattr(Model, "link_layers", counting_layers)
+    model = loads_corpus("\n".join(blocks), clock=fixed_clock)
+    assert len(walked) < n
+    assert [model.copy_source_of(f"C-{i:04d}") for i in (1, n)] == ["C-0000", f"C-{n - 1:04d}"]
+    assert all(model.expression(f"C-{i:04d}").text == root_text for i in range(n + 1))
+    assert model.get_attribute(f"C-{n:04d}", "A14") is None  # loading stamps no copy
+
+
 def test_next_link_id_skips_taken_ids():
     model = build_model()
     model.store_link(TraceLink("lnk-0001", LinkKind.DERIVE, "R-2", "R-1"))
