@@ -194,18 +194,10 @@ def _cmd_trace(model: Model, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verdicts(model: Model, args: argparse.Namespace) -> dict:
-    from .rules import scope_verdicts
-    return scope_verdicts(model, args.scope)
-
-
-# the scope as a table in args.format, csv or md, for matrix and the csv export;
-# its verdict cells read the current findings, and the rule checkers are
-# imported only when a column is a rule or characteristic node
+# the scope as a table in args.format, csv or md, for matrix and the csv export
 def _table(model: Model, args: argparse.Namespace, columns: list[str]) -> int:
-    verdicts = _verdicts(model, args) if any(map(model.catalog.is_graph_node, columns)) else None
-    _emit(export_table(model, args.scope, columns, verdicts) if args.format == "csv" else
-          markdown_table(columns, table_rows(model, args.scope, columns, verdicts)), args.out)
+    _emit(export_table(model, args.scope, columns) if args.format == "csv" else
+          markdown_table(columns, table_rows(model, args.scope, columns)), args.out)
     return 0
 
 
@@ -228,8 +220,7 @@ def _cmd_export(model: Model, args: argparse.Namespace) -> int:
                 Path(args.mapping).read_text(encoding="utf-8"))
         _emit(export_reqif(model, args.scope, mapping), args.out)
     elif args.format == "md":
-        verdicts = _verdicts(model, args) if args.template == "SetReview" else None
-        _emit(generate_report(model, args.scope, args.template, verdicts), args.out)
+        _emit(generate_report(model, args.scope, args.template), args.out)
     elif args.format == "dot":
         _emit(export_dot(model, args.scope), args.out)
     else:

@@ -7,7 +7,9 @@ by internal id, mangled attribute names) and can re-import its own output.
 ReqIF export is deliberately lossy: slot structure flattens to statement
 text and model element references are dropped, which mirrors how generic
 requirement interchange loses the model-based content; the mapping file
-controls attribute naming. No exporter mutates the model.
+controls attribute naming. No exporter changes the model's data. Tables
+with a rule or characteristic column and the SetReview report run the rule
+checkers, through `rules.scope_verdicts`, which fill the model's findings memo.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import uuid
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .blockfile import Block, parse_blocks, render_blocks, split_list
 from .catalog import SLOT_KEYS, AttributeDef, Catalog, ValueKind
@@ -50,11 +52,6 @@ from .trace import add_link, kdr_view
 # The modules that only some readers and writers use (parser, rules, metrics,
 # csv and xml.etree) are imported inside those functions, so that loading a
 # corpus and the plain exporters start sooner.
-if TYPE_CHECKING:
-    from .rules import Verdict
-
-VerdictMap = dict[str, dict[str, "Verdict"]]  # expression id -> node id, as rules.verdict_map
-_VERDICT_LETTERS = {LinkKind.SATISFY: "S", LinkKind.VIOLATE: "V"}
 
 # (slot key, text field, binding field) per slot
 _SLOT_FIELD_KEYS = tuple((key, key.lower(), f"{key.lower()}_ref") for key in SLOT_KEYS)
@@ -710,20 +707,14 @@ def export_reqif(model: Model, scope_id: str | None = None,
 # --- requirement table CSV ---
 
 
-def _verdict_letter(model: Model, expr_id: str, node_id: str, verdicts: VerdictMap | None) -> str:
-    """S, V or M (none) from the expression's entry in verdicts when it has one,
-    else from its first Satisfy/Violate link (link-id order) to the node."""
-    if verdicts is not None and expr_id in verdicts:
-        verdict = verdicts[expr_id].get(node_id)
-        return _VERDICT_LETTERS[verdict.link_kind] if verdict is not None else "M"
-    for link in model.links_from(expr_id):
-        if link.target_id == node_id and link.kind in _VERDICT_LETTERS:
-            return _VERDICT_LETTERS[link.kind]
-    return "M"
+def _verdict_letter(verdicts: dict, expr_id: str, node_id: str) -> str:
+    """S (Satisfy), V (Violate) or M (none): the expression's verdict for the
+    node in verdicts, a rules.scope_verdicts map."""
+    verdict = verdicts[expr_id].get(node_id)
+    return verdict.value[0] if verdict is not None else "M"
 
 
-def table_rows(model: Model, scope_id: str | None, columns: list[str],
-               verdicts: VerdictMap | None = None) -> list[list[str]]:
+def table_rows(model: Model, scope_id: str | None, columns: list[str]) -> list[list[str]]:
     """The cells of export_table's data rows, header excluded."""
     if not columns:
         raise UnknownColumnError("no table columns given")
@@ -733,6 +724,11 @@ def table_rows(model: Model, scope_id: str | None, columns: list[str],
         if column in model.catalog.attributes or model.catalog.is_graph_node(column):
             continue
         raise UnknownColumnError(f"unknown table column {column!r}")
+    verdicts: dict = {}
+    if any(map(model.catalog.is_graph_node, columns)):  # only then load the rule checkers
+        from .rules import scope_verdicts
+
+        verdicts = scope_verdicts(model, scope_id)
 
     def cell(expr: RequirementExpression, column: str) -> str:
         if column == "id":
@@ -749,26 +745,25 @@ def table_rows(model: Model, scope_id: str | None, columns: list[str],
         if column in model.catalog.attributes:
             value = model.get_attribute(expr.id, column)
             return value.display() if value is not None else ""
-        return _verdict_letter(model, expr.id, column, verdicts)
+        return _verdict_letter(verdicts, expr.id, column)
 
     return [[cell(expr, column) for column in columns]
             for expr in model.scope_requirements(scope_id)]
 
 
-def export_table(model: Model, scope_id: str | None, columns: list[str],
-                 verdicts: VerdictMap | None = None) -> str:
+def export_table(model: Model, scope_id: str | None, columns: list[str]) -> str:
     """One CSV row per non-set expression in scope.
 
     Columns: id, name, text, SR1..SR5, any attribute key, or a rule or
-    characteristic node id rendered as S/V/M (M = no verdict): from the
-    expression's entry in verdicts (`rules.scope_verdicts`) when it has one,
-    else from its stored links; verdicts=None suits callers that applied them.
+    characteristic node id rendered as S/V/M (M = no verdict) from
+    `rules.scope_verdicts`: a checked requirement's current findings, a
+    Need's stored verdict links.
     """
     import csv
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerows([columns] + table_rows(model, scope_id, columns, verdicts))
+    writer.writerows([columns] + table_rows(model, scope_id, columns))
     return out.getvalue()
 
 
@@ -825,8 +820,8 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
     return "\n".join(lines)
 
 
-def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap | None) -> str:
-    from .rules import TBX_RE, _attribute_placeholders, _enabled_checks
+def _set_review_report(model: Model, scope_id: str | None) -> str:
+    from .rules import TBX_RE, _attribute_placeholders, _enabled_checks, scope_verdicts
 
     if is_whole_corpus(scope_id):
         set_ids = [e.id for e in model.expressions() if e.is_set]
@@ -837,10 +832,10 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
     # only the rules that run get a column, then TBX
     node_ids = [node_id for node_id, _, _ in _enabled_checks(model.catalog)]
 
-    lines = ["# Set Review", ""]
     if not set_ids:
-        lines.extend(["(no sets in scope)", ""])
-        return "\n".join(lines)
+        return "# Set Review\n\n(no sets in scope)\n"
+    verdicts = scope_verdicts(model, scope_id)
+    lines = ["# Set Review", ""]
 
     for set_id in set_ids:
         rset = model.expression(set_id)
@@ -853,7 +848,7 @@ def _set_review_report(model: Model, scope_id: str | None, verdicts: VerdictMap 
         lines.append("### Satisfaction Matrix")
         lines.append("")
         lines.append(markdown_table(["requirement", *node_ids], [
-            [expr.id, *(_verdict_letter(model, expr.id, n, verdicts) for n in node_ids)]
+            [expr.id, *(_verdict_letter(verdicts, expr.id, n) for n in node_ids)]
             for expr in rows]))
         lines.append("### TBX Summary")
         lines.append("")
@@ -906,12 +901,12 @@ def export_dot(model: Model, scope_id: str | None = None) -> str:
 REPORT_TEMPLATES = ("Overview", "SetReview")
 
 
-def generate_report(model: Model, scope_id: str | None, template: str,
-                    verdicts: VerdictMap | None = None) -> str:
-    """Markdown report; SetReview reads verdicts, or stored links, as export_table does."""
+def generate_report(model: Model, scope_id: str | None, template: str) -> str:
+    """Markdown report; SetReview's verdict cells come from
+    `rules.scope_verdicts`, as export_table's do."""
     if template == "Overview":
         return _overview_report(model, scope_id)
     if template == "SetReview":
-        return _set_review_report(model, scope_id, verdicts)
+        return _set_review_report(model, scope_id)
     raise InvariantViolationError(
         f"unknown report template {template!r}; expected one of {REPORT_TEMPLATES}")

@@ -321,8 +321,17 @@ def verdict_map(findings: list[RuleFinding]) -> dict[str, dict[str, Verdict]]:
 
 
 def scope_verdicts(model: Model, scope_id: str | None = None) -> dict[str, dict[str, Verdict]]:
-    """verdict_map of the scope's current findings, each requirement's
-    characteristic rollup merged in: the verdicts every table reads."""
+    """expression id -> node id -> verdict for every non-set expression in
+    scope, the one verdict lookup of every table and report: a checked
+    requirement's current findings with its characteristic rollup, and a
+    Need's first stored Satisfy or Violate link (link-id order) to each node."""
     _, contributors, _ = _plan(model)
-    return {expr_id: _with_rollup(contributors, verdicts)
-            for expr_id, verdicts in verdict_map(check_scope(model, scope_id)).items()}
+    out = {expr_id: _with_rollup(contributors, verdicts)
+           for expr_id, verdicts in verdict_map(check_scope(model, scope_id)).items()}
+    for expr in model.scope_requirements(scope_id):
+        if expr.kind == ExpressionKind.NEED:  # read last to first, so the first link wins
+            out[expr.id] = {link.target_id: Verdict(link.kind.value)
+                            for link in reversed(model.links_from(expr.id))
+                            if link.kind in _VERDICT_LINK_KINDS
+                            and model.catalog.is_graph_node(link.target_id)}
+    return out

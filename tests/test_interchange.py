@@ -14,9 +14,11 @@ from bench.corpus import CHARACTERISTICS, RULES, SHAPES, generate
 from mbsr import (
     TBX_ID,
     AttributeValue,
+    LinkKind,
     Model,
     RequirementExpression,
     Verdict,
+    add_link,
     apply_verdicts,
     check_scope,
     compute_slot_completeness,
@@ -62,7 +64,6 @@ from mbsr.model import (
 )
 from mbsr.parser import parse_statement
 from mbsr.cli import main
-from mbsr.rules import scope_verdicts, verdict_map
 from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
 FIXTURE_NAMES = ("asteroid", "tracechain", "metrics10", "mixed", "mixed_fixed", "verdicts")
@@ -578,18 +579,36 @@ def test_export_table_verdict_columns(mixed_model):
 
 
 def test_verdict_letter_is_the_first_verdict_link_in_id_order(catalog):
-    text = ("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
-            "[set S-1]\nname = All\nmembers = R-1\n\n"
-            "[link lnk-9999]\nkind = Satisfy\nsource = R-1\ntarget = R16\n\n"
-            "[link lnk-10000]\nkind = Violate\nsource = R-1\ntarget = R16\n\n"
-            "[link a-1]\nkind = Satisfy\nsource = R-1\ntarget = C3\n\n"
-            "[link b-1]\nkind = Violate\nsource = R-1\ntarget = C3\n")
+    # a Need is not checked, so its cells come from its stored links
+    text = ("[requirement N-1]\nkind = Need\ntext = Operators need timely data.\n\n"
+            "[set S-1]\nname = All\nmembers = N-1\n\n"
+            "[link lnk-9999]\nkind = Satisfy\nsource = N-1\ntarget = R16\n\n"
+            "[link lnk-10000]\nkind = Violate\nsource = N-1\ntarget = R16\n\n"
+            "[link a-1]\nkind = Satisfy\nsource = N-1\ntarget = C3\n\n"
+            "[link b-1]\nkind = Violate\nsource = N-1\ntarget = C3\n")
     model = loads_corpus(text, catalog, clock=fixed_clock)
     # "lnk-10000" sorts before "lnk-9999" as a string, so Violate comes first
     csv_text = export_table(model, None, ["id", "R16", "C3", "R1"])
-    assert csv_text.splitlines()[1] == "R-1,V,S,M"
+    assert csv_text.splitlines()[1] == "N-1,V,S,M"
     report = generate_report(model, None, "SetReview")
-    assert "| R-1 | M | M | M | V | M |" in report
+    assert "| N-1 | M | M | M | V | M |" in report
+
+
+def test_library_tables_read_findings_over_a_stored_verdict_link(catalog, tmp_path, capsys):
+    """A Violate link stored by hand against a rule that the text satisfies
+    shows as S in the library's csv table and SetReview, as in the CLI's."""
+    model = loads_corpus("[requirement R-1]\ntext = The System shall run within 1 s.\n\n"
+                         "[set S-1]\nname = All\nmembers = R-1\n", catalog, clock=fixed_clock)
+    add_link(model, LinkKind.VIOLATE, "R-1", "R16")
+    table = export_table(model, None, ["id", "R16"])
+    report = generate_report(model, None, "SetReview")
+    assert table == "id,R16\nR-1,S\n"
+    assert "| R-1 | S | S | S | S | S |" in report
+    save_corpus(model, tmp_path / "hand.mbsr")
+    corpus = ["--corpus", str(tmp_path / "hand.mbsr")]
+    assert _cli_out(capsys, [*corpus, "export", "--format", "csv", "--columns", "id,R16"]) == table
+    assert _cli_out(capsys, [*corpus, "export", "--format", "md",
+                             "--template", "SetReview"]) == report
 
 
 # --- reports ---
@@ -688,20 +707,18 @@ def _generated(workload, seed, tmp_path):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", ["bulk-lint", "trace-review"])
 def test_verdict_map_renders_like_applied_verdict_links(workload, seed, tmp_path):
-    """export_table and SetReview read from a verdict map give what they give
-    after apply_verdicts stored the same findings: first for one leaf set,
-    so the other requirements fall back to their (absent) links, then for
-    the whole corpus, over the links the first apply stored."""
+    """apply_verdicts changes no byte of export_table or SetReview, which read
+    the verdict map of rules.scope_verdicts and not the stored links: render,
+    apply, render again, first for one leaf set, then for the whole corpus
+    over the links the first apply stored."""
     corpus, model = _generated(workload, seed, tmp_path)
     columns = ["id", *RULES, *CHARACTERISTICS]
     for scope in (corpus.leaf_sets()[0], None):
-        findings = check_scope(model, scope)
-        verdicts = verdict_map(findings)
-        table = export_table(model, None, columns, scope_verdicts(model, scope))
-        report = generate_report(model, None, "SetReview", verdicts)
-        assert apply_verdicts(model, findings) > 0
-        assert export_table(model, None, columns) == table
-        assert generate_report(model, None, "SetReview") == report
+        table = export_table(model, scope, columns)
+        report = generate_report(model, scope, "SetReview")
+        assert apply_verdicts(model, check_scope(model, scope)) > 0
+        assert export_table(model, scope, columns) == table
+        assert generate_report(model, scope, "SetReview") == report
 
 
 def _cli_out(capsys, argv):

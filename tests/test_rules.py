@@ -34,7 +34,7 @@ from mbsr import (
     serialize_corpus,
 )
 from mbsr.errors import MbsrError, UnknownIdError
-from mbsr.rules import verdict_map
+from mbsr.rules import scope_verdicts, verdict_map
 from tests.conftest import CORPUS_DIR, FIXTURES_DIR, fixed_clock
 
 LABELED = json.loads((FIXTURES_DIR / "rules_labeled.json").read_text())["cases"]
@@ -419,6 +419,24 @@ def test_verdict_map_shape(catalog):
     mapped = verdict_map(findings)
     assert set(mapped) == {"R-1"}
     assert set(mapped["R-1"]) == {"R1", "R2", "R10", "R16", TBX_ID}
+
+
+def test_scope_verdicts_reads_findings_for_requirements_and_links_for_needs(catalog):
+    """The one verdict lookup: a checked requirement's entry comes from its
+    findings, a Need's from its stored verdict links, and every non-set
+    expression in scope has one."""
+    text = (CORPUS_DIR / "verdicts.mbsr").read_text(encoding="utf-8")
+    model = loads_corpus(text + "\n[requirement N-02]\nkind = Need\n"
+                         "text = Operators need a pass log.\n", catalog, clock=fixed_clock)
+    verdicts = scope_verdicts(model)
+    assert set(verdicts) == {"N-01", "N-02", "V-01", "V-02", "V-03"}
+    assert verdicts["N-01"] == {"R1": Verdict.SATISFY, TBX_ID: Verdict.VIOLATE}
+    assert verdicts["N-02"] == {}
+    # V-01 stores a Violate link to R16, but its text holds no 'shall not'
+    assert verdicts["V-01"]["R16"] is Verdict.SATISFY
+    checked = verdict_map(check_scope(model))["V-01"]
+    assert verdicts["V-01"] == {**checked, **rollup(catalog, checked)}
+    assert set(scope_verdicts(model, "V-SET")) == {"N-01", "V-01", "V-02"}
 
 
 def test_randomized_check_apply_cycles(catalog):
