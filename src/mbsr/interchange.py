@@ -655,46 +655,28 @@ def export_reqif(model: Model, scope_id: str | None = None,
         out.append("        </SPEC-OBJECT>")
     out.append("      </SPEC-OBJECTS>")
 
-    if is_whole_corpus(scope_id):
-        roots = [e.id for e in model.expressions()
-                 if e.is_set and model.parent_set(e.id) is None]
-    else:
-        roots = [scope_id]
-
     out.append("      <SPECIFICATIONS>")
-    for root_id in roots:
-        rset = model.expression(root_id)
-        ident = identify("specification", root_id, root_id)
-        out.append(f"        <SPECIFICATION IDENTIFIER='{ident}' "
-                   f"LONG-NAME='{_xml_escape(rset.name, 'set', root_id)}'>")
-        out.append("          <CHILDREN>")
-        # pre-order over membership: (member id, depth) entries still to
-        # write, and the closing lines of the sets opened above them
-        pending: list[tuple[str, int] | str] = [(m, 2) for m in reversed(rset.members)]
-        while pending:
-            entry = pending.pop()
-            if isinstance(entry, str):
-                out.append(entry)
-                continue
-            node_id, depth = entry
-            if ("h", node_id) in ids:  # listed again by a members list edited in place
-                continue
-            pad = " " * (10 + 2 * depth)
-            expr = model.expression(node_id)
-            hid = identify("h", node_id, _identifier(f"h-{node_id}"))
-            if expr.is_set:
-                out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}' "
-                           f"LONG-NAME='{_xml_escape(expr.name, 'set', node_id)}'>")
-                out.append(f"{pad}  <CHILDREN>")
-                pending.append(f"{pad}  </CHILDREN>\n{pad}</SPEC-HIERARCHY>")
-                pending.extend((member, depth + 2) for member in reversed(expr.members))
-            else:
-                out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{hid}'>")
-                out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{ids['object', node_id]}"
-                           f"</SPEC-OBJECT-REF></OBJECT>")
-                out.append(f"{pad}</SPEC-HIERARCHY>")
-        out.append("          </CHILDREN>")
-        out.append("        </SPECIFICATION>")
+    closers: list[str] = []  # the closing lines of the sets open above the next entry
+    for node_id, depth in model.set_forest(scope_id):
+        out.extend(reversed(closers[depth:]))
+        del closers[depth:]
+        expr = model.expression(node_id)
+        # a top set is a SPECIFICATION, anything below it a SPEC-HIERARCHY
+        pad = " " * (10 + 4 * depth if depth else 8)
+        tag, kind, base = (("SPEC-HIERARCHY", "h", _identifier(f"h-{node_id}")) if depth
+                           else ("SPECIFICATION", "specification", node_id))
+        ident = identify(kind, node_id, base)
+        if expr.is_set:
+            out.append(f"{pad}<{tag} IDENTIFIER='{ident}' "
+                       f"LONG-NAME='{_xml_escape(expr.name, 'set', node_id)}'>")
+            out.append(f"{pad}  <CHILDREN>")
+            closers.append(f"{pad}  </CHILDREN>\n{pad}</{tag}>")
+        else:
+            out.append(f"{pad}<SPEC-HIERARCHY IDENTIFIER='{ident}'>")
+            out.append(f"{pad}  <OBJECT><SPEC-OBJECT-REF>{ids['object', node_id]}"
+                       f"</SPEC-OBJECT-REF></OBJECT>")
+            out.append(f"{pad}</SPEC-HIERARCHY>")
+    out.extend(reversed(closers))
     out.append("      </SPECIFICATIONS>")
     out.extend([
         "    </REQ-IF-CONTENT>",
@@ -821,27 +803,33 @@ def _overview_report(model: Model, scope_id: str | None) -> str:
 
 
 def _set_review_report(model: Model, scope_id: str | None) -> str:
-    from .rules import TBX_RE, _attribute_placeholders, _enabled_checks, scope_verdicts
+    from .rules import TBX_RE, _attribute_placeholders, _plan, scope_verdicts
 
-    if is_whole_corpus(scope_id):
-        set_ids = [e.id for e in model.expressions() if e.is_set]
-    else:
-        set_ids = [scope_id] + [i for i in model.transitive_members(scope_id)
-                                if model.expression(i).is_set]
-
-    # only the rules that run get a column, then TBX
-    node_ids = [node_id for node_id, _, _ in _enabled_checks(model.catalog)]
-
-    if not set_ids:
+    # each set's requirement rows, in one pass over the set forest: a
+    # requirement joins the rows of every set above it
+    sections: dict[str, list[RequirementExpression]] = {}
+    above: list[list[RequirementExpression]] = []
+    for node_id, depth in model.set_forest(scope_id):
+        del above[depth:]
+        expr = model.expression(node_id)
+        if expr.is_set:
+            above.append(sections.setdefault(node_id, []))
+        else:
+            for rows in above:
+                rows.append(expr)
+    if not sections:
         return "# Set Review\n\n(no sets in scope)\n"
+    # only the rules that run get a column, then TBX
+    node_ids = [node_id for node_id, _, _ in _plan(model)[0]]
     verdicts = scope_verdicts(model, scope_id)
     lines = ["# Set Review", ""]
 
-    for set_id in set_ids:
+    # the whole corpus lists its sets in id order, a scope in pre-order
+    for set_id in sorted(sections) if is_whole_corpus(scope_id) else sections:
         rset = model.expression(set_id)
+        rows = sections[set_id]
         lines.append(f"## Set {set_id} ({rset.name})")
         lines.append("")
-        rows = [m for m in map(model.expression, model.transitive_members(set_id)) if not m.is_set]
         lines.append(f"Direct members: {len(rset.members)}; "
                      f"transitive requirements: {len(rows)}")
         lines.append("")

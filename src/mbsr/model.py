@@ -463,20 +463,39 @@ class Model:
 
     # --- scopes ---
 
-    def transitive_members(self, set_id: str) -> list[str]:
-        expr = self._expressions.get(set_id)
-        if expr is None or not expr.is_set:
-            raise UnknownScopeError(f"{set_id!r} is not a known set")
-        seen: dict[str, None] = {}  # the members and theirs in pre-order, each once
-        pending = expr.members[::-1]
+    def set_forest(self, scope_id: str | None) -> list[tuple[str, int]]:
+        """(id, depth) pairs in pre-order over set membership: at depth 0 the
+        scope set, or for the whole corpus each set that no set holds, in id
+        order; below each, its members and theirs, each id once, at its first place."""
+        if is_whole_corpus(scope_id):
+            tops = [e.id for e in self.expressions() if e.is_set and e.id not in self._parent]
+        else:
+            expr = self._expressions.get(scope_id)
+            if expr is None or not expr.is_set:
+                raise UnknownScopeError(f"{scope_id!r} is not a known set")
+            tops = [scope_id]
+        out: list[tuple[str, int]] = []
+        seen: set[str] = set()
+        pending = [(top, 0) for top in reversed(tops)]
         while pending:
-            member = pending.pop()
-            if member not in seen:
-                seen[member] = None
-                child = self._expressions[member]
-                if child.is_set:
-                    pending.extend(reversed(child.members))
-        return list(seen)
+            node_id, depth = pending.pop()
+            # depth-0 entries never count as seen, so a members list edited in
+            # place to hold an ancestor lists that ancestor once more below
+            if depth:
+                if node_id in seen:
+                    continue
+                seen.add(node_id)
+            out.append((node_id, depth))
+            expr = self._expressions[node_id]
+            if expr.is_set:
+                pending.extend((member, depth + 1) for member in reversed(expr.members))
+        return out
+
+    def transitive_members(self, set_id: str) -> list[str]:
+        """A set's members and theirs, in pre-order, each once."""
+        if is_whole_corpus(set_id):
+            raise UnknownScopeError(f"{set_id!r} is not a known set")
+        return [node_id for node_id, depth in self.set_forest(set_id) if depth]
 
     def scope_expressions(self, scope_id: str | None) -> list[RequirementExpression]:
         """Expressions in scope, in id order: a set's transitive members, or all."""

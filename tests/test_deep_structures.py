@@ -21,10 +21,12 @@ from mbsr import (
 from mbsr.cli import main
 from tests.conftest import fixed_clock
 
-# Each set's SetReview section walks the sets below it, so that report takes
-# time quadratic in the depth; a walk that recursed once per level of 1,000
-# needs more frames than Python's default limit of 1,000 allows.
-SET_DEPTH = 1000
+# A walk that recursed once per level of 2,000 would need twice the frames
+# that Python's default limit of 1,000 allows. Every membership reader walks
+# `Model.set_forest` once, so each command here runs in time linear in its
+# output; ReqIF's output alone grows with the square of the depth, since each
+# level is indented further.
+SET_DEPTH = 2000
 CHAIN = 2000
 TEXT = "The System shall run within {} s."
 

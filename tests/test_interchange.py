@@ -661,6 +661,91 @@ def test_unknown_template_rejected(asteroid_model):
         generate_report(asteroid_model, None, "Digest")
 
 
+# --- set membership: SetReview and ReqIF against references ---
+
+
+def _random_forest(seed):
+    """A random forest, built leaves first: each new set takes some of the
+    requirements and sets that no set holds yet."""
+    rng = random.Random(seed)
+    model = Model(clock=fixed_clock)
+    free = [f"R-{i}" for i in range(40)]
+    for rid in free:
+        model.add_expression(RequirementExpression(rid))
+    for i in range(30):
+        members = rng.sample(free, rng.randint(0, min(4, len(free))))
+        free = [f for f in free if f not in members] + [f"S-{i}"]
+        model.add_set(RequirementSet(f"S-{i}", members=members))
+    return model
+
+
+def _set_review_sections(report):
+    """(set id, direct member count, requirement row ids) per report section."""
+    sections = []
+    for chunk in report.split("\n## Set ")[1:]:
+        direct, transitive = map(int, re.search(
+            r"Direct members: (\d+); transitive requirements: (\d+)", chunk).groups())
+        rows = re.findall(r"^\| ([^ |]+) \|", chunk.split("### TBX")[0], re.M)[2:]
+        assert transitive == len(rows)
+        sections.append((chunk.split()[0], direct, rows))
+    return sections
+
+
+def _set_review_reference(model, scope):
+    """The sections SetReview lists, built set by set from transitive_members:
+    every set in id order, or the scope set and then its sets in pre-order."""
+    if scope is None:
+        set_ids = [e.id for e in model.expressions() if e.is_set]
+    else:
+        set_ids = [scope] + [i for i in model.transitive_members(scope)
+                             if model.expression(i).is_set]
+    return [(set_id, len(model.expression(set_id).members),
+             [i for i in model.transitive_members(set_id) if not model.expression(i).is_set])
+            for set_id in set_ids]
+
+
+def _reqif_nesting(text):
+    """The SPECIFICATIONS of a ReqIF export as nested (id, children) pairs,
+    children None for a requirement."""
+    ns = f"{{{REQIF_NS}}}"
+
+    def node(element):
+        ref = element.find(f"{ns}OBJECT/{ns}SPEC-OBJECT-REF")
+        if ref is not None:
+            return ref.text, None
+        return (element.get("IDENTIFIER").removeprefix("h-"),
+                [node(child) for child in element.find(f"{ns}CHILDREN")])
+
+    return [node(spec) for spec in ElementTree.fromstring(text).iter(f"{ns}SPECIFICATION")]
+
+
+def _members_nesting(model, set_id):
+    """A set and its members as nested (id, children) pairs, by recursion."""
+    return set_id, [_members_nesting(model, m) if model.expression(m).is_set else (m, None)
+                    for m in model.expression(set_id).members]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+def test_set_review_and_reqif_match_references_on_random_forests(seed):
+    model = _random_forest(seed)
+    held = {m for e in model.expressions() if e.is_set for m in e.members}
+    tops = [e.id for e in model.expressions() if e.is_set and e.id not in held]
+    assert _reqif_nesting(export_reqif(model)) == [_members_nesting(model, t) for t in tops]
+    for scope in [None, *tops]:
+        report = generate_report(model, scope, "SetReview")
+        assert _set_review_sections(report) == _set_review_reference(model, scope)
+        if scope is not None:
+            assert _reqif_nesting(export_reqif(model, scope)) == [_members_nesting(model, scope)]
+
+
+def test_set_review_of_an_empty_set_and_of_no_sets():
+    model = Model(clock=fixed_clock)
+    model.add_expression(RequirementExpression("R-1"))
+    assert generate_report(model, None, "SetReview") == "# Set Review\n\n(no sets in scope)\n"
+    model.add_set(RequirementSet("S-1"))
+    assert _set_review_sections(generate_report(model, "S-1", "SetReview")) == [("S-1", 0, [])]
+
+
 # --- dot ---
 
 
